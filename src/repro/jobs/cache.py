@@ -45,7 +45,6 @@ delete temp siblings, because a temp file they can see might belong to a
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import os
@@ -229,7 +228,7 @@ class ArtifactCache:
         self._verified_bytes(path, key)
         try:
             return load_trace(path, program)
-        except (TraceFormatError, EOFError, gzip.BadGzipFile) as exc:
+        except TraceFormatError as exc:
             # Checksum-consistent but unparseable: the artifact was
             # *stored* damaged (e.g. a fault-injected torn write that
             # also rewrote the sidecar).  Quarantine it all the same.
@@ -281,7 +280,7 @@ class ArtifactCache:
         self._verified_file(path, key)
         try:
             return _QuarantiningTraceReader(path, program, self, key)
-        except (TraceFormatError, EOFError, gzip.BadGzipFile) as exc:
+        except TraceFormatError as exc:
             raise self._quarantine(path, key, f"unreadable trace: {exc}") from exc
 
     # -- profile stage -------------------------------------------------
@@ -440,7 +439,7 @@ class _QuarantiningTraceReader(TraceReader):
         # both the streaming and materializing consumers.
         try:
             yield from super().chunks()
-        except (TraceFormatError, EOFError, gzip.BadGzipFile) as exc:
+        except TraceFormatError as exc:
             raise self._cache._quarantine(
                 Path(self.path), self._key, f"unreadable trace: {exc}"
             ) from exc

@@ -33,7 +33,11 @@ from repro.vm.trace_io import VERSION as RTRC_VERSION
 #: default producer of analysis results.  Schema 3: every artifact
 #: gained a sidecar checksum and artifacts without one are treated as
 #: absent, so pre-integrity caches re-produce rather than half-verify.
-SCHEMA = 3
+#: Schema 4: traces are compressed at ``trace_io.GZIP_LEVEL`` instead of
+#: level 9, so the same inputs now store different trace bytes; racing
+#: producers must store identical bytes under one content address, so
+#: old-level traces get new keys rather than sharing them.
+SCHEMA = 4
 
 
 def _digest(material: dict) -> str:

@@ -47,6 +47,7 @@ from __future__ import annotations
 import gzip
 import struct
 import sys
+import zlib
 from array import array
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -66,7 +67,22 @@ READABLE_VERSIONS = (1, 2)
 #: any trace budget and large enough that per-frame overhead is noise.
 DEFAULT_CHUNK_RECORDS = 1 << 16
 
+#: zlib level of every ``.gz`` trace.  Chosen by ``python -m
+#: repro.bench.gzip_sweep`` (docs/vm.md has the table): the level with the
+#: lowest encode-plus-decode seconds whose bytes per record stay within
+#: 1.5x of level 9's.  Readers accept any level, so changing it never
+#: strands a file, but it changes the bytes of every new trace — bump
+#: ``repro.jobs.keys.SCHEMA`` with it.
+GZIP_LEVEL = 3
+
 _U32_MAX = 0xFFFFFFFF
+
+#: Largest single ``read()`` request: a garbled length field then runs
+#: into end-of-file instead of asking for gigabytes up front.
+_READ_LIMIT = 1 << 24
+
+#: The on-disk bytes of the valid takens (0, 1 and NOT_BRANCH = -1).
+_TAKEN_BYTES = b"\x00\x01\xff"
 
 
 class TraceFormatError(Exception):
@@ -102,7 +118,7 @@ class TraceChunk(NamedTuple):
 
     Lists rather than arrays because every consumer (the fused analyzer
     kernel, predictor training, branch statistics) iterates Python-level;
-    ``array.tolist()`` does the unboxing once at C speed.
+    ``tolist()`` on the decoded bytes does the unboxing once at C speed.
     """
 
     pcs: list
@@ -121,19 +137,30 @@ def _open(path: str | Path, mode: str):
             raw = open(path, "wb")
             # filename="" keeps the FNAME field out of the header too —
             # GzipFile would otherwise embed raw.name's basename.
-            stream = gzip.GzipFile(fileobj=raw, mode="wb", mtime=0, filename="")
+            stream = gzip.GzipFile(
+                fileobj=raw,
+                mode="wb",
+                compresslevel=GZIP_LEVEL,
+                mtime=0,
+                filename="",
+            )
             stream.myfileobj = raw  # GzipFile closes myfileobj on close()
             return stream
         return gzip.open(path, mode)
     return open(path, mode)
 
 
-def _le_bytes(values: array) -> bytes:
-    """Array payload bytes, little-endian regardless of host byte order."""
-    if sys.byteorder == "big":
-        values = array(values.typecode, values)
-        values.byteswap()
-    return values.tobytes()
+def _read(stream, count: int) -> bytes:
+    """One ``read()``, with the gzip layer's damage reports made typed.
+
+    A cut-short compressed stream raises ``EOFError``, a bad header,
+    CRC or length trailer ``gzip.BadGzipFile``, and garbled deflate data
+    ``zlib.error``; all three mean the file's bytes are damaged.
+    """
+    try:
+        return stream.read(count)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise CorruptArtifactError(f"damaged trace file: {exc}") from exc
 
 
 def _read_exact(stream, count: int) -> bytes:
@@ -146,12 +173,7 @@ def _read_exact(stream, count: int) -> bytes:
     chunks: list[bytes] = []
     remaining = count
     while remaining > 0:
-        try:
-            chunk = stream.read(remaining)
-        except EOFError as exc:
-            # gzip raises EOFError when the compressed stream itself is
-            # cut short (e.g. a killed writer or a damaged cache entry).
-            raise CorruptArtifactError(f"truncated trace file: {exc}") from exc
+        chunk = _read(stream, min(remaining, _READ_LIMIT))
         if not chunk:
             raise CorruptArtifactError("truncated trace file")
         chunks.append(chunk)
@@ -166,35 +188,41 @@ def _payload_bytes(count: int, name_length: int) -> int:
 
 # -- column validation -------------------------------------------------------
 #
-# The fast path converts whole columns through array() constructors and
-# C-speed min/max; only when something is out of range does a Python-level
-# scan run to name the offending record.  These checks are what keep a
-# hand-built trace (or garbled-but-well-framed bytes) from flowing into
-# the analyzer as silent nonsense:
+# Every check has a C-speed all-clear test — struct packing, min()/max()
+# over plain lists, bytes.translate() over the takens — and only when
+# that test fails does a Python-level scan run to name the offending
+# record.  These checks are what keep a hand-built trace (or
+# garbled-but-well-framed bytes) from flowing into the analyzer as silent
+# nonsense:
 #
-# * pcs must fit u32 on write (a bare OverflowError otherwise leaked from
-#   array("I", ...)) and lie inside the program on read;
+# * pcs must fit u32 on write (a bare packing error would otherwise leak)
+#   and lie inside the program on read;
 # * takens outside {-1, 0, 1} and addrs below NO_ADDR are rejected on
 #   both sides.
 
 
-def _pc_column(pcs, base: int) -> array:
+def _pack(typecode: str, values) -> bytes:
+    """Little-endian column bytes; ``struct.error`` if a value does not fit."""
+    return struct.pack(f"<{len(values)}{typecode}", *values)
+
+
+def _pc_column(pcs, base: int) -> bytes:
     try:
-        return array("I", pcs)
-    except (OverflowError, ValueError, TypeError):
+        return _pack("I", pcs)
+    except struct.error:
         for index, value in enumerate(pcs):
             if not isinstance(value, int) or not 0 <= value <= _U32_MAX:
                 raise TraceFormatError(
                     f"trace pc {value!r} at record {base + index} "
                     f"does not fit in u32"
                 ) from None
-        raise  # pragma: no cover - conversion failed but every value fits
+        raise  # pragma: no cover - packing failed but every value fits
 
 
-def _addr_column(addrs, base: int) -> array:
+def _addr_column(addrs, base: int) -> bytes:
     try:
-        column = array("q", addrs)
-    except (OverflowError, ValueError, TypeError):
+        column = _pack("q", addrs)
+    except struct.error:
         for index, value in enumerate(addrs):
             if not isinstance(value, int) or not -(1 << 63) <= value < (1 << 63):
                 raise TraceFormatError(
@@ -202,40 +230,78 @@ def _addr_column(addrs, base: int) -> array:
                     f"does not fit in i64"
                 ) from None
         raise  # pragma: no cover
-    if column and min(column) < NO_ADDR:
-        index, value = next(
-            (i, v) for i, v in enumerate(column) if v < NO_ADDR
-        )
-        raise TraceFormatError(
-            f"trace addr {value} at record {base + index} "
-            f"below NO_ADDR ({NO_ADDR})"
-        )
+    _check_addrs(addrs, base)
     return column
 
 
-def _taken_column(takens, base: int) -> array:
+def _taken_column(takens, base: int) -> bytes:
     try:
-        column = array("b", takens)
-    except (OverflowError, ValueError, TypeError):
+        column = _pack("b", takens)
+    except struct.error:
         column = None
-    if column is None or (column and not -1 <= min(column) <= max(column) <= 1):
-        for index, value in enumerate(takens):
-            if not isinstance(value, int) or not -1 <= value <= 1:
-                raise TraceFormatError(
-                    f"trace taken {value!r} at record {base + index} "
-                    f"outside {{-1, 0, 1}}"
-                ) from None
-        raise AssertionError("unreachable")  # pragma: no cover
+    if column is None or column.translate(None, _TAKEN_BYTES):
+        _raise_bad_taken(takens, base)
     return column
 
 
-def _check_chunk_pcs(pcs: array, n_code: int, base: int) -> None:
+def _check_pcs(pcs: list, n_code: int, base: int) -> None:
     if pcs and max(pcs) >= n_code:
         index, value = next((i, v) for i, v in enumerate(pcs) if v >= n_code)
         raise TraceFormatError(
             f"trace pc {value} outside program code [0, {n_code})"
             f" at record {base + index}"
         )
+
+
+def _check_addrs(addrs, base: int) -> None:
+    if addrs and min(addrs) < NO_ADDR:
+        index, value = next((i, v) for i, v in enumerate(addrs) if v < NO_ADDR)
+        raise TraceFormatError(
+            f"trace addr {value} at record {base + index} "
+            f"below NO_ADDR ({NO_ADDR})"
+        )
+
+
+def _raise_bad_taken(takens, base: int) -> None:
+    for index, value in enumerate(takens):
+        if not isinstance(value, int) or not -1 <= value <= 1:
+            raise TraceFormatError(
+                f"trace taken {value!r} at record {base + index} "
+                f"outside {{-1, 0, 1}}"
+            )
+    raise AssertionError("unreachable")  # pragma: no cover
+
+
+def _unpack(data: memoryview, typecode: str) -> list:
+    """Little-endian column bytes as a list, without an interim copy."""
+    if sys.byteorder == "little":
+        return data.cast(typecode).tolist()
+    column = array(typecode)
+    column.frombytes(data)
+    column.byteswap()
+    return column.tolist()
+
+
+def _decode_frame(
+    pcs_bytes: memoryview,
+    addrs_bytes: memoryview,
+    takens_bytes: memoryview,
+    n_code: int,
+    base: int,
+) -> TraceChunk:
+    """Validate one frame's raw column bytes and unbox them to lists."""
+    chunk = TraceChunk(
+        _unpack(pcs_bytes, "I"),
+        _unpack(addrs_bytes, "q"),
+        takens_bytes.cast("b").tolist(),
+    )
+    # u32/i64 fit is guaranteed by the on-disk types, so only the range
+    # checks can fire here (garbled-but-well-framed bytes).
+    _check_pcs(chunk.pcs, n_code, base)
+    _check_addrs(chunk.addrs, base)
+    if bytes(takens_bytes).translate(None, _TAKEN_BYTES):
+        _raise_bad_taken(chunk.takens, base)
+    return chunk
 
 
 class TraceWriter:
@@ -264,9 +330,10 @@ class TraceWriter:
         self.chunk_size = chunk_size
         self.total = 0
         self._name_length = len(name_bytes)
-        self._pcs = array("I")
-        self._addrs = array("q")
-        self._takens = array("b")
+        # Packed little-endian columns not yet framed.
+        self._pcs = bytearray()
+        self._addrs = bytearray()
+        self._takens = bytearray()
         self._closed = False
         self._stream = _open(path, "wb")
         try:
@@ -291,21 +358,21 @@ class TraceWriter:
         if not len(pcs):
             return
         base = self.total
-        self._pcs.extend(_pc_column(pcs, base))
-        self._addrs.extend(_addr_column(addrs, base))
-        self._takens.extend(_taken_column(takens, base))
+        self._pcs += _pc_column(pcs, base)
+        self._addrs += _addr_column(addrs, base)
+        self._takens += _taken_column(takens, base)
         self.total += len(pcs)
-        while len(self._pcs) >= self.chunk_size:
+        while len(self._takens) >= self.chunk_size:
             self._emit(self.chunk_size)
 
     def _emit(self, count: int) -> None:
         stream = self._stream
         stream.write(struct.pack("<I", count))
-        stream.write(_le_bytes(self._pcs[:count]))
-        stream.write(_le_bytes(self._addrs[:count]))
-        stream.write(_le_bytes(self._takens[:count]))
-        del self._pcs[:count]
-        del self._addrs[:count]
+        stream.write(self._pcs[: 4 * count])
+        stream.write(self._addrs[: 8 * count])
+        stream.write(self._takens[:count])
+        del self._pcs[: 4 * count]
+        del self._addrs[: 8 * count]
         del self._takens[:count]
         if telemetry.enabled():
             telemetry.METRICS.counter(
@@ -318,8 +385,8 @@ class TraceWriter:
             return
         self._closed = True
         try:
-            if self._pcs:
-                self._emit(len(self._pcs))
+            if self._takens:
+                self._emit(len(self._takens))
             self._stream.write(struct.pack("<IQ", 0, self.total))
         finally:
             self._stream.close()
@@ -377,7 +444,7 @@ class TraceReader:
             )
 
     def _read_header(self, stream) -> tuple[int, int, int]:
-        magic = stream.read(4)
+        magic = _read(stream, 4)
         if magic != MAGIC:
             raise TraceFormatError(f"bad magic {magic!r}; not a trace file")
         (version,) = struct.unpack("<I", _read_exact(stream, 4))
@@ -391,11 +458,12 @@ class TraceReader:
                 "<IH", _read_exact(stream, 6)
             )
             count = 0
-        name = (
-            _read_exact(stream, name_length).decode("utf-8")
-            if name_length
-            else ""
-        )
+        try:
+            name = _read_exact(stream, name_length).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptArtifactError(
+                "trace program name is not valid UTF-8"
+            ) from None
         if name != self.program.name:
             raise TraceFormatError(
                 f"trace was recorded for program {name!r}, "
@@ -414,29 +482,25 @@ class TraceReader:
 
     def _v1_chunks(self, stream) -> Iterator[TraceChunk]:
         count = self._v1_count
-        n_code = len(self.program)
-        pcs = array("I")
-        pcs.frombytes(_read_exact(stream, 4 * count))
-        addrs = array("q")
-        addrs.frombytes(_read_exact(stream, 8 * count))
-        takens = array("b")
-        takens.frombytes(_read_exact(stream, count))
-        if sys.byteorder == "big":
-            pcs.byteswap()
-            addrs.byteswap()
-            takens.byteswap()
-        self._validate(pcs, addrs, takens, n_code, 0)
+        pcs = memoryview(_read_exact(stream, 4 * count))
+        addrs = memoryview(_read_exact(stream, 8 * count))
+        takens = memoryview(_read_exact(stream, count))
+        self._check_trailer(stream)
         if telemetry.enabled():
             telemetry.METRICS.counter("repro_trace_bytes_read_total").inc(
                 _payload_bytes(count, self._name_length)
             )
             telemetry.METRICS.counter("repro_trace_chunks_read_total").inc()
+        n_code = len(self.program)
         size = DEFAULT_CHUNK_RECORDS
         for start in range(0, count, size):
-            yield TraceChunk(
-                pcs[start : start + size].tolist(),
-                addrs[start : start + size].tolist(),
-                takens[start : start + size].tolist(),
+            end = min(start + size, count)
+            yield _decode_frame(
+                pcs[4 * start : 4 * end],
+                addrs[8 * start : 8 * end],
+                takens[start:end],
+                n_code,
+                start,
             )
 
     def _v2_chunks(self, stream) -> Iterator[TraceChunk]:
@@ -452,19 +516,24 @@ class TraceReader:
                         f"trace end marker records {total} != "
                         f"streamed records {streamed}"
                     )
+                self._check_trailer(stream)
                 self.total = total
                 return
-            pcs = array("I")
-            pcs.frombytes(_read_exact(stream, 4 * count))
-            addrs = array("q")
-            addrs.frombytes(_read_exact(stream, 8 * count))
-            takens = array("b")
-            takens.frombytes(_read_exact(stream, count))
-            if sys.byteorder == "big":
-                pcs.byteswap()
-                addrs.byteswap()
-                takens.byteswap()
-            self._validate(pcs, addrs, takens, n_code, streamed)
+            if count > self.chunk_size:
+                # Writers never frame more than the header's chunk size;
+                # a larger count is a garbled length, not a frame to read.
+                raise CorruptArtifactError(
+                    f"trace frame of {count} records exceeds the "
+                    f"header's chunk size {self.chunk_size}"
+                )
+            frame = memoryview(_read_exact(stream, 13 * count))
+            chunk = _decode_frame(
+                frame[: 4 * count],
+                frame[4 * count : 12 * count],
+                frame[12 * count :],
+                n_code,
+                streamed,
+            )
             if tele:
                 telemetry.METRICS.counter("repro_trace_bytes_read_total").inc(
                     count * (4 + 8 + 1)
@@ -473,18 +542,19 @@ class TraceReader:
                     "repro_trace_chunks_read_total"
                 ).inc()
             streamed += count
-            yield TraceChunk(pcs.tolist(), addrs.tolist(), takens.tolist())
+            yield chunk
 
     @staticmethod
-    def _validate(
-        pcs: array, addrs: array, takens: array, n_code: int, base: int
-    ) -> None:
-        _check_chunk_pcs(pcs, n_code, base)
-        # Re-run the shared column validators: u32/i64 fit is guaranteed
-        # by the on-disk types, so only the range checks can fire here
-        # (garbled-but-well-framed bytes).
-        _addr_column(addrs, base)
-        _taken_column(takens, base)
+    def _check_trailer(stream) -> None:
+        """Read past the end marker to EOF.
+
+        For ``.gz`` files this is what reaches gzip's CRC32/ISIZE trailer:
+        stopping at the marker would let damaged compressed bytes decode
+        to different records with no error.  Any byte after the marker is
+        damage too.
+        """
+        if _read(stream, 1):
+            raise CorruptArtifactError("trailing bytes after trace end marker")
 
     def to_trace(self) -> Trace:
         """Materialize the whole file as an in-memory :class:`Trace`.

@@ -1,5 +1,7 @@
 """Tests for trace serialization."""
 
+import gzip
+import random
 import struct
 
 import pytest
@@ -18,6 +20,7 @@ from repro.vm import (
     load_trace,
     save_trace,
 )
+from repro.vm.trace_io import GZIP_LEVEL
 
 SOURCE = """
     li $t0, 6
@@ -393,3 +396,272 @@ class TestErrors:
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(TraceFormatError, match="truncated"):
             load_trace(path, program)
+
+
+def _frame_offsets(name: str, counts) -> list[int]:
+    """File offset of each v2 frame's pcs column, for plain files."""
+    offset = 4 + 4 + 4 + 2 + len(name.encode("utf-8"))
+    starts = []
+    for count in counts:
+        starts.append(offset + 4)
+        offset += 4 + 13 * count
+    return starts
+
+
+class TestGzipLevel:
+    def test_written_trace_is_plain_gzip_at_module_level(self, traced, tmp_path):
+        # Pins both the level and determinism without a hard-coded digest:
+        # the streamed writer's bytes are exactly a one-shot compression
+        # of the payload at GZIP_LEVEL.
+        program, trace = traced
+        path = tmp_path / "l.rtrc.gz"
+        save_trace(trace, path, chunk_size=8)
+        data = path.read_bytes()
+        payload = gzip.decompress(data)
+        expected = gzip.compress(payload, compresslevel=GZIP_LEVEL, mtime=0)
+        # Header byte 9 is the OS field.  gzip.compress takes zlib's
+        # host-dependent value on newer Pythons; the writer pins 255
+        # ("unknown") so traces are identical across hosts.
+        assert data[9] == 0xFF
+        assert data[:9] + data[10:] == expected[:9] + expected[10:]
+
+    def test_reader_accepts_any_level(self, traced, tmp_path):
+        program, trace = traced
+        plain = tmp_path / "p.rtrc"
+        save_trace(trace, plain)
+        path = tmp_path / "nine.rtrc.gz"
+        path.write_bytes(gzip.compress(plain.read_bytes(), compresslevel=9))
+        assert load_trace(path, program).pcs == trace.pcs
+
+
+class TestFastPathNamesRecord:
+    """The C-speed all-clear checks hand off to the scan that names the
+    record; the message is the same whichever frame the value is in."""
+
+    RECORDS = 32
+    CHUNK = 8
+    POSITIONS = (0, 3, 7, 29)  # first, middle, last of frame 0; frame 3
+
+    @pytest.fixture
+    def columns(self, traced):
+        program, trace = traced
+        pcs = list(trace.pcs[: self.RECORDS])
+        addrs = list(trace.addrs[: self.RECORDS])
+        takens = list(trace.takens[: self.RECORDS])
+        assert len(pcs) == self.RECORDS
+        return program, pcs, addrs, takens
+
+    @staticmethod
+    def _messages(program, position):
+        n_code = len(program)
+        return {
+            "pc": f"trace pc 100000 outside program code [0, {n_code})"
+            f" at record {position}",
+            "addr": f"trace addr -9 at record {position} below NO_ADDR (-1)",
+            "taken": f"trace taken 3 at record {position} outside {{-1, 0, 1}}",
+        }
+
+    @pytest.mark.parametrize("position", POSITIONS)
+    @pytest.mark.parametrize("column", ["addr", "taken"])
+    def test_write_names_record(self, columns, tmp_path, position, column):
+        program, pcs, addrs, takens = columns
+        if column == "addr":
+            addrs[position] = -9
+        else:
+            takens[position] = 3
+        writer = TraceWriter(tmp_path / "w.rtrc", program, chunk_size=self.CHUNK)
+        # Batches of 10 so later positions arrive in a later write call.
+        with pytest.raises(TraceFormatError) as err:
+            for start in range(0, self.RECORDS, 10):
+                end = start + 10
+                writer.write(pcs[start:end], addrs[start:end], takens[start:end])
+        writer.abort()
+        assert str(err.value) == self._messages(program, position)[column]
+
+    @pytest.mark.parametrize("position", POSITIONS)
+    def test_write_pc_overflow_names_record(self, columns, tmp_path, position):
+        program, pcs, addrs, takens = columns
+        pcs[position] = 1 << 32
+        with pytest.raises(TraceFormatError) as err:
+            with TraceWriter(tmp_path / "w.rtrc", program) as writer:
+                for start in range(0, self.RECORDS, 10):
+                    end = start + 10
+                    writer.write(pcs[start:end], addrs[start:end], takens[start:end])
+        assert str(err.value) == (
+            f"trace pc {1 << 32} at record {position} does not fit in u32"
+        )
+
+    @pytest.mark.parametrize("position", POSITIONS)
+    @pytest.mark.parametrize("column", ["pc", "addr", "taken"])
+    def test_read_names_record(self, columns, tmp_path, position, column):
+        program, pcs, addrs, takens = columns
+        path = tmp_path / "r.rtrc"
+        with TraceWriter(path, program, chunk_size=self.CHUNK) as writer:
+            writer.write(pcs, addrs, takens)
+        counts = [self.CHUNK] * (self.RECORDS // self.CHUNK)
+        frame = position // self.CHUNK
+        index = position % self.CHUNK
+        count = counts[frame]
+        start = _frame_offsets(program.name, counts)[frame]
+        data = bytearray(path.read_bytes())
+        if column == "pc":
+            at = start + 4 * index
+            data[at : at + 4] = struct.pack("<I", 100_000)
+        elif column == "addr":
+            at = start + 4 * count + 8 * index
+            data[at : at + 8] = struct.pack("<q", -9)
+        else:
+            data[start + 12 * count + index] = 3
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError) as err:
+            load_trace(path, program)
+        assert str(err.value) == self._messages(program, position)[column]
+
+
+class TestDamagedFiles:
+    """Damaged bytes raise TraceFormatError (mostly its
+    CorruptArtifactError subclass), never a stray exception, and a
+    compressed file never decodes to different records."""
+
+    FLIPS = 200
+
+    @pytest.fixture
+    def small(self, traced, tmp_path):
+        program, trace = traced
+        plain = tmp_path / "f.rtrc"
+        save_trace(trace, plain, chunk_size=8)
+        packed = tmp_path / "f.rtrc.gz"
+        save_trace(trace, packed, chunk_size=8)
+        return program, trace, plain, packed
+
+    @staticmethod
+    def _flipped(source, target, rng):
+        data = bytearray(source.read_bytes())
+        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        target.write_bytes(bytes(data))
+
+    def test_gzip_flip_fuzz(self, small, tmp_path):
+        program, trace, _, packed = small
+        rng = random.Random(14)
+        target = tmp_path / "flip.rtrc.gz"
+        decoded = 0
+        for _ in range(self.FLIPS):
+            self._flipped(packed, target, rng)
+            try:
+                loaded = load_trace(target, program)
+            except TraceFormatError:
+                continue
+            decoded += 1
+            assert (loaded.pcs, loaded.addrs, loaded.takens) == (
+                trace.pcs,
+                trace.addrs,
+                trace.takens,
+            )
+        # Only flips in header fields gzip ignores (mtime, XFL, OS) may
+        # decode; most flips must have reached a check.
+        assert decoded < self.FLIPS // 4
+
+    def test_plain_flip_fuzz(self, small, tmp_path):
+        program, _, plain, _ = small
+        rng = random.Random(14)
+        target = tmp_path / "flip.rtrc"
+        for _ in range(self.FLIPS):
+            self._flipped(plain, target, rng)
+            try:
+                load_trace(target, program)
+            except TraceFormatError:
+                pass
+
+    def test_gzip_crc_checked(self, small, tmp_path):
+        # Regression: the reader stopped at the RTRC end marker and never
+        # reached gzip's CRC32 trailer, so damage inside the deflate
+        # stream could decode to different records with no error.
+        program, _, _, packed = small
+        data = bytearray(packed.read_bytes())
+        data[-8] ^= 0x01  # CRC32 of the payload
+        packed.write_bytes(bytes(data))
+        with pytest.raises(CorruptArtifactError, match="damaged trace file"):
+            load_trace(packed, program)
+
+    def test_gzip_length_checked(self, small, tmp_path):
+        program, _, _, packed = small
+        data = bytearray(packed.read_bytes())
+        data[-4] ^= 0x01  # ISIZE: payload length mod 2**32
+        packed.write_bytes(bytes(data))
+        with pytest.raises(CorruptArtifactError, match="damaged trace file"):
+            load_trace(packed, program)
+
+    def test_trailing_bytes_rejected(self, small):
+        program, _, plain, _ = small
+        plain.write_bytes(plain.read_bytes() + b"\x00")
+        with pytest.raises(CorruptArtifactError, match="trailing bytes"):
+            load_trace(plain, program)
+
+    def test_trailing_gzip_member_rejected(self, small):
+        program, _, _, packed = small
+        packed.write_bytes(packed.read_bytes() + gzip.compress(b"x"))
+        with pytest.raises(CorruptArtifactError, match="trailing bytes"):
+            load_trace(packed, program)
+
+    def test_garbled_deflate_block_is_typed(self, small):
+        # Regression: zlib.error leaked.  BTYPE=11 is an invalid deflate
+        # block type; the first block header follows the 10-byte header.
+        program, _, _, packed = small
+        data = bytearray(packed.read_bytes())
+        data[10] |= 0b110
+        packed.write_bytes(bytes(data))
+        with pytest.raises(CorruptArtifactError, match="damaged trace file"):
+            load_trace(packed, program)
+
+    def test_garbled_gzip_magic_is_typed(self, small):
+        # Regression: gzip.BadGzipFile leaked.
+        program, _, _, packed = small
+        data = bytearray(packed.read_bytes())
+        data[0] ^= 0x01
+        packed.write_bytes(bytes(data))
+        with pytest.raises(CorruptArtifactError, match="damaged trace file"):
+            TraceReader(packed, program)
+
+    def test_truncated_gzip_is_typed(self, small):
+        # gzip raises EOFError for a compressed stream cut short.
+        program, _, _, packed = small
+        packed.write_bytes(packed.read_bytes()[:-12])
+        with pytest.raises(CorruptArtifactError):
+            load_trace(packed, program)
+
+    def test_oversized_frame_count_rejected(self, small):
+        # Regression: a garbled count reached _read_exact(13 * count) and
+        # raised MemoryError asking for gigabytes.
+        program, _, plain, _ = small
+        data = bytearray(plain.read_bytes())
+        first_count = _frame_offsets(program.name, [8])[0] - 4
+        data[first_count : first_count + 4] = struct.pack("<I", 0xFFFFFFF0)
+        plain.write_bytes(bytes(data))
+        with pytest.raises(CorruptArtifactError, match="exceeds the header's chunk size"):
+            load_trace(plain, program)
+
+    def test_garbled_v1_count_reads_as_truncated(self, traced, tmp_path):
+        # A v1 count has no chunk size to bound it; reads are capped so
+        # the file's end, not a terabyte allocation, stops the reader.
+        program, trace = traced
+        data = bytearray(
+            _v1_bytes(
+                program.name,
+                list(trace.pcs),
+                list(trace.addrs),
+                list(trace.takens),
+            )
+        )
+        data[8:16] = struct.pack("<Q", 1 << 40)
+        path = tmp_path / "v1huge.rtrc"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptArtifactError, match="truncated"):
+            load_trace(path, program)
+
+    def test_garbled_name_is_typed(self, small):
+        program, _, plain, _ = small
+        data = bytearray(plain.read_bytes())
+        data[14] = 0xFF  # first name byte: never valid UTF-8
+        plain.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="not valid UTF-8"):
+            load_trace(plain, program)
