@@ -1,7 +1,7 @@
 """Benchmark history store + ``repro-bench-diff`` regression detector.
 
 Every perf harness in this repo (``repro-analyzer-bench``,
-``repro-vm-bench``, ``repro-serve-load``) can append its run to a shared
+``repro-vm-bench``, the pipeline bench) can append its run to a shared
 JSONL history file via ``--history PATH``.  Each line is one
 schema-versioned record::
 
@@ -44,9 +44,6 @@ import time
 from pathlib import Path
 
 SCHEMA_VERSION = 1
-
-#: Known record kinds (informational; unknown kinds still round-trip).
-KINDS = ("analyzer-bench", "vm-bench", "serve-load")
 
 LOWER = "lower"
 HIGHER = "higher"
@@ -317,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         "history", metavar="HISTORY", help="JSONL history file"
     )
     parser.add_argument(
-        "--kind", default=None, choices=KINDS,
+        "--kind", default=None,
         help="only diff records of this kind (default: every kind present)",
     )
     parser.add_argument(

@@ -35,9 +35,8 @@ from typing import Callable
 from repro import telemetry
 from repro.asm import AsmError
 from repro.diagnostics import DiagnosticError
-from repro.jobs import BACKEND_NAMES, FaultPlan, FaultSpecError
+from repro.jobs import ArtifactCache, FaultPlan, FaultSpecError
 from repro.jobs.faults import ENV_VAR as FAULTS_ENV_VAR
-from repro.jobs.protocol import parse_worker_address
 from repro.lang import CompileError
 from repro.experiments import (
     ablations,
@@ -149,23 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         metavar="N",
         help="worker processes for the experiment farm (default 1: serial "
-        "in-process execution); with --backend remote, the per-worker "
-        "in-flight bound instead",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="executor backend: serial (in-process), pool (local process "
-        "pool), or remote (repro-worker daemons; needs --workers); "
-        "default: inferred from --jobs/--workers",
-    )
-    parser.add_argument(
-        "--workers",
-        metavar="HOST:PORT,...",
-        default=None,
-        help="comma-separated repro-worker addresses for the remote "
-        "backend (see docs/distributed.md)",
+        "in-process execution)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -272,21 +255,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.jobs < 1:
         parser.error("--jobs must be a positive worker count")
-    workers = None
-    if args.workers is not None:
-        workers = [w.strip() for w in args.workers.split(",") if w.strip()]
-        if not workers:
-            parser.error("--workers needs at least one host:port address")
-        for address in workers:
-            try:
-                parse_worker_address(address)
-            except ValueError as exc:
-                parser.error(f"--workers: {exc}")
-    backend = args.backend
-    if backend == "remote" and not workers:
-        parser.error("--backend remote requires --workers host:port,...")
-    if workers and backend not in (None, "remote"):
-        parser.error(f"--workers only applies to --backend remote, not {backend}")
     if args.metrics and args.telemetry_dir is None:
         parser.error("--metrics requires --telemetry-dir")
     if args.profile and args.telemetry_dir is None:
@@ -316,6 +284,8 @@ def main(argv: list[str] | None = None) -> int:
             cache_dir = transport.name
     else:
         cache_dir = args.cache_dir
+        # Reclaim temp files left by writers killed in earlier runs.
+        ArtifactCache(cache_dir).sweep_orphans()
 
     report = open(args.output, "a") if args.output else None
     if report:
@@ -337,8 +307,6 @@ def main(argv: list[str] | None = None) -> int:
             job_timeout=args.job_timeout,
             resume=args.resume,
             inject_faults=inject_faults,
-            backend=backend,
-            workers=tuple(workers) if workers else (),
         )
     )
     try:

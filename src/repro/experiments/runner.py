@@ -72,11 +72,6 @@ class RunConfig:
     journal).  ``inject_faults`` arms the deterministic fault injector
     with a spec string (see :mod:`repro.jobs.faults`) — chaos-testing
     only.  See ``docs/robustness.md``.
-
-    ``backend`` picks the farm executor (``serial``, ``pool``, or
-    ``remote``; None infers it from ``jobs``/``workers``), and
-    ``workers`` lists ``host:port`` addresses of ``repro-worker``
-    daemons for the remote backend.  See ``docs/distributed.md``.
     """
 
     max_steps: int = 150_000
@@ -91,8 +86,6 @@ class RunConfig:
     job_timeout: float | None = None
     resume: bool = False
     inject_faults: str | None = None
-    backend: str | None = None
-    workers: tuple[str, ...] = ()
 
 
 class BenchmarkRun:
@@ -214,8 +207,6 @@ class SuiteRunner:
             ),
             faults=self.config.inject_faults,
             resume=self.config.resume,
-            backend=self.config.backend,
-            workers=list(self.config.workers),
         )
         engine.execute(graph, self.farm_report)
 

@@ -3,9 +3,8 @@
 Turns ``repro-experiments`` from a one-shot serial script into an
 incremental farm: work is sharded at (benchmark × stage) granularity —
 compile, trace, profile, analysis — dispatched through a pluggable
-executor backend (in-process, local process pool, or remote
-``repro-worker`` daemons over TCP; see ``docs/distributed.md``), and
-every artifact is stored on disk under a content hash so re-running
+executor backend (in-process, or a local process pool), and every
+artifact is stored on disk under a content hash so re-running
 experiments only recomputes what changed.  See ``docs/jobs.md``.
 
 The farm is also the pipeline's reliability substrate: artifacts carry
@@ -17,13 +16,7 @@ work is journaled for ``--resume``, and a deterministic fault injector
 ``docs/robustness.md``.
 """
 
-from repro.jobs.backends import (
-    BACKEND_NAMES,
-    BackendCapabilities,
-    Completion,
-    ExecutorBackend,
-    WorkerLost,
-)
+from repro.jobs.backends import Completion, ExecutorBackend, WorkerLost
 from repro.jobs.cache import ArtifactCache
 from repro.jobs.engine import (
     ExecutionEngine,
@@ -50,8 +43,6 @@ from repro.jobs.retry import JobTimeout, RetryPolicy
 __all__ = [
     "AnalysisRequest",
     "ArtifactCache",
-    "BACKEND_NAMES",
-    "BackendCapabilities",
     "Completion",
     "DEAD",
     "ExecutionEngine",

@@ -1,25 +1,11 @@
 """Pluggable execution backends for the experiment farm.
 
 The engine's dispatch loop drives every backend through the
-:class:`~repro.jobs.backends.base.ExecutorBackend` protocol; see
-``docs/distributed.md`` for the remote wire protocol and failure
-semantics.  Backend implementations import lazily from their modules so
-importing :mod:`repro.jobs` does not pull in sockets or process pools.
+:class:`~repro.jobs.backends.base.ExecutorBackend` protocol.  Backend
+implementations import lazily from their modules so importing
+:mod:`repro.jobs` does not pull in process pools.
 """
 
-from repro.jobs.backends.base import (
-    BackendCapabilities,
-    Completion,
-    ExecutorBackend,
-    WorkerLost,
-)
+from repro.jobs.backends.base import Completion, ExecutorBackend, WorkerLost
 
-BACKEND_NAMES = ("serial", "pool", "remote")
-
-__all__ = [
-    "BACKEND_NAMES",
-    "BackendCapabilities",
-    "Completion",
-    "ExecutorBackend",
-    "WorkerLost",
-]
+__all__ = ["Completion", "ExecutorBackend", "WorkerLost"]

@@ -14,11 +14,9 @@ backend through the same loop::
         if backend.broken:
             replace the backend (rebuild, or degrade to serial)
 
-Three backends ship: in-process serial execution
-(:class:`~repro.jobs.backends.serial.SerialBackend`), a local process
-pool (:class:`~repro.jobs.backends.pool.PoolBackend`), and socket-
-connected remote workers
-(:class:`~repro.jobs.backends.remote.RemoteBackend`).  A new backend
+Two backends ship: in-process serial execution
+(:class:`~repro.jobs.backends.serial.SerialBackend`) and a local process
+pool (:class:`~repro.jobs.backends.pool.PoolBackend`).  A new backend
 implements this interface and passes the conformance suite in
 ``tests/jobs/test_backend_conformance.py``; nothing else in the farm
 needs to change.
@@ -26,42 +24,22 @@ needs to change.
 **Failure vocabulary.**  A completion either carries a timing ``record``
 (the job retired) or an ``error``.  ``charged=False`` marks an innocent
 victim — a job whose attempt never really ran because its executor was
-condemned (a pool-mate hung, a remote connection died) — which the
-engine requeues without spending one of its retry attempts.  Backends
+condemned (a pool-mate hung) — which the engine requeues without
+spending one of its retry attempts.  Backends
 that cannot tell victims apart from culprits charge everyone; that is
 deterministic, which matters more than fairness here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.jobs.graph import Job  # re-exported for backend authors
 
 
 class WorkerLost(Exception):
-    """An executor (pool worker, remote connection) died under its jobs."""
-
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can and cannot do, declared up front.
-
-    ``supports_timeouts``
-        The backend enforces per-attempt wall-clock budgets itself
-        (preemptively, like the serial backend's ``SIGALRM``, or by
-        condemning the executor, like the pool and remote backends).
-        When False the engine runs attempts unbounded.
-    ``supports_cancellation``
-        Work not yet started can be revoked on shutdown (a queued pool
-        future can be cancelled; a job already shipped to a remote
-        worker cannot).
-    """
-
-    name: str
-    supports_timeouts: bool
-    supports_cancellation: bool
+    """An executor (a pool worker) died under its jobs."""
 
 
 @dataclass
@@ -76,15 +54,14 @@ class Completion:
     error: BaseException | None = None
     #: False: an innocent victim of executor loss — requeue uncharged.
     charged: bool = True
-    #: Which executor ran the job (display/metrics only).
-    worker: str = ""
 
 
 @runtime_checkable
 class ExecutorBackend(Protocol):
     """Protocol every execution backend implements."""
 
-    capabilities: BackendCapabilities
+    #: ``"serial"`` or ``"pool"``; the engine's degradation policy keys on it.
+    name: str
 
     @property
     def in_flight(self) -> int:
@@ -112,13 +89,3 @@ class ExecutorBackend(Protocol):
     def shutdown(self) -> None:
         """Release executors.  Idempotent; never blocks on hung work."""
 
-
-@dataclass
-class _InFlight:
-    """Bookkeeping every backend keeps per submitted job."""
-
-    job: Job
-    attempt: int
-    deadline: float | None
-    worker: str = ""
-    extra: dict = field(default_factory=dict)

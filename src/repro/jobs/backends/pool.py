@@ -1,4 +1,4 @@
-"""Local process-pool execution backend (``--backend pool``).
+"""Local process-pool execution backend (``--jobs N`` with N > 1).
 
 Re-hosts the farm's :class:`~concurrent.futures.ProcessPoolExecutor`
 path behind the :class:`~repro.jobs.backends.base.ExecutorBackend`
@@ -23,16 +23,22 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
-from repro.jobs.backends.base import (
-    BackendCapabilities,
-    Completion,
-    WorkerLost,
-    _InFlight,
-)
+from repro.jobs.backends.base import Completion, WorkerLost
 from repro.jobs.graph import Job
 from repro.jobs.retry import JobTimeout
 from repro.jobs.worker import execute_job
+
+
+@dataclass
+class _InFlight:
+    """Bookkeeping for one submitted job."""
+
+    job: Job
+    attempt: int
+    deadline: float | None
+    timeout: float | None
 
 
 class PoolBackend:
@@ -43,11 +49,7 @@ class PoolBackend:
     this and runs serially).
     """
 
-    capabilities = BackendCapabilities(
-        name="pool",
-        supports_timeouts=True,   # by pool condemnation, not preemption
-        supports_cancellation=True,  # queued futures are cancellable
-    )
+    name = "pool"
 
     def __init__(self, workers: int):
         if workers < 1:
@@ -78,9 +80,7 @@ class PoolBackend:
         except (BrokenProcessPool, RuntimeError) as exc:
             self._broken = True
             raise WorkerLost(str(exc) or "process pool is broken") from exc
-        self._running[future] = _InFlight(
-            job, attempt, deadline, extra={"timeout": timeout}
-        )
+        self._running[future] = _InFlight(job, attempt, deadline, timeout)
 
     def poll(self, timeout: float) -> list[Completion]:
         if not self._running:
@@ -164,16 +164,14 @@ class PoolBackend:
             if future.done() and not future.cancelled():
                 completions.append(self._settle(future, entry))
             elif entry.deadline is not None and now > entry.deadline:
-                timeout = entry.extra.get("timeout")
+                # A deadline exists only when the attempt had a timeout.
                 completions.append(
                     Completion(
                         entry.job,
                         entry.attempt,
                         error=JobTimeout(
-                            f"job exceeded its {timeout:.1f}s wall-clock "
-                            f"budget"
-                            if timeout
-                            else "job exceeded its wall-clock budget"
+                            f"job exceeded its {entry.timeout:.1f}s "
+                            f"wall-clock budget"
                         ),
                     )
                 )

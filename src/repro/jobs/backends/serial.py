@@ -1,4 +1,4 @@
-"""In-process serial execution backend (``--backend serial``).
+"""In-process serial execution backend (the default, ``--jobs 1``).
 
 The degenerate — and most trustworthy — backend: :meth:`submit` runs the
 job synchronously in the calling process and queues its completion for
@@ -15,7 +15,7 @@ break; it is also what every other backend degrades to.
 
 from __future__ import annotations
 
-from repro.jobs.backends.base import BackendCapabilities, Completion
+from repro.jobs.backends.base import Completion
 from repro.jobs.graph import Job
 from repro.jobs.retry import call_with_timeout
 from repro.jobs.worker import execute_job
@@ -24,11 +24,7 @@ from repro.jobs.worker import execute_job
 class SerialBackend:
     """Runs every job synchronously in the engine's own process."""
 
-    capabilities = BackendCapabilities(
-        name="serial",
-        supports_timeouts=True,   # preemptive, via SIGALRM
-        supports_cancellation=False,  # submit has already run the job
-    )
+    name = "serial"
 
     def __init__(self):
         self._completed: list[Completion] = []

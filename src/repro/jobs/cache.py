@@ -21,13 +21,12 @@ address.  A reader therefore observes either no file or complete bytes,
 never a torn write, and concurrent producers racing to store the same
 key are harmless: keys are content addresses, so the racers carry
 identical bytes and last-writer-wins changes nothing.  This is what lets
-any number of execution engines — pool workers of one farm run, several
-``repro-experiments`` invocations, or a long-lived ``repro-serve``
-process next to ad-hoc batch runs — share one cache directory with no
-locking.  The only cross-process ordering rule is embedded in
-:meth:`ArtifactCache._present`: the artifact is replaced *before* its
-sidecar, and presence requires both, so a reader never trusts an
-artifact whose checksum has not been published yet.
+any number of execution engines — pool workers of one farm run, or
+several concurrent ``repro-experiments`` invocations — share one cache
+directory with no locking.  The only cross-process ordering rule is
+embedded in :meth:`ArtifactCache._present`: the artifact is replaced
+*before* its sidecar, and presence requires both, so a reader never
+trusts an artifact whose checksum has not been published yet.
 
 Every artifact carries a sidecar checksum (``<name>.sha256``) written
 from the exact bytes stored.  Loads verify it: a mismatch (torn write,
@@ -38,9 +37,10 @@ exactly the damaged artifact instead of crashing the run.  An artifact
 without its sidecar (a crash landed between the two writes) is treated as
 absent, so it is transparently re-produced.  Temporary files abandoned by
 killed writers are reclaimed by :meth:`ArtifactCache.sweep_orphans`,
-which ``repro-serve`` runs once at startup; stores themselves never
-delete temp siblings, because a temp file they can see might belong to a
-*live* concurrent writer, not a dead one.
+which ``repro-experiments`` runs once before planning; it only reclaims
+temp files older than :data:`ORPHAN_MIN_AGE_S`, and stores themselves
+never delete temp siblings, because a temp file they can see might
+belong to a *live* concurrent writer, not a dead one.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -77,6 +78,11 @@ CORRUPT_DIR = "corrupt"
 #: Artifact subdirectories swept by :meth:`ArtifactCache.sweep_orphans`.
 ARTIFACT_DIRS = ("asm", "traces", "profiles", "results")
 
+#: Seconds a temp file must sit unmodified before the sweep calls it an
+#: orphan.  A live stream writer touches its temp file on every frame,
+#: so only writers that died long ago are reclaimed.
+ORPHAN_MIN_AGE_S = 3600
+
 
 class ArtifactCache:
     """On-disk artifact store addressed by content keys."""
@@ -85,25 +91,26 @@ class ArtifactCache:
         self.root = Path(root)
 
     def sweep_orphans(self) -> int:
-        """Delete every orphaned ``.tmp`` sibling in the cache; return count.
+        """Delete orphaned temp siblings in the cache; return the count.
 
         Temporary files are dot-prefixed (``.<artifact>.<random>``) and
-        only live between a writer's ``mkstemp`` and its ``os.replace``,
-        so with no writers running, any found by a scan belong to
-        writers that died mid-store.  Long-lived services call this once
-        at startup.  Calling it while another process is actively
-        storing is safe for the *cache* — a racing writer whose temp
-        file vanishes under it treats the publish as lost to an
-        identical-bytes racer (see ``_replace_published``) — but it can
-        waste that writer's work, so don't run it periodically.
+        only live between a writer's ``mkstemp`` and its ``os.replace``.
+        Several invocations may share one cache, so a temp file counts
+        as orphaned only once it has gone :data:`ORPHAN_MIN_AGE_S`
+        seconds without a write.  Even a wrong guess is safe for the
+        *cache* — a racing writer whose temp file vanishes under it
+        treats the publish as lost to an identical-bytes racer (see
+        ``_replace_published``) — but it wastes that writer's work.
         """
+        cutoff = time.time() - ORPHAN_MIN_AGE_S
         removed = 0
         for kind in ARTIFACT_DIRS:
-            directory = self.root / kind
-            if not directory.is_dir():
-                continue
-            for orphan in directory.glob(".*"):
-                if orphan.is_file():
+            for orphan in (self.root / kind).glob(".*"):
+                try:
+                    stale = orphan.is_file() and orphan.stat().st_mtime < cutoff
+                except FileNotFoundError:
+                    continue  # its writer published it meanwhile
+                if stale:
                     _discard(orphan)
                     removed += 1
         return removed
@@ -124,54 +131,6 @@ class ArtifactCache:
 
     def checksum_path(self, path: Path) -> Path:
         return path.parent / (path.name + CHECKSUM_SUFFIX)
-
-    #: Artifact kind → path method, the vocabulary of the remote
-    #: push/pull protocol (:mod:`repro.jobs.protocol`).
-    KINDS = ("asm", "trace", "profile", "result")
-
-    def artifact_path(self, kind: str, key: str) -> Path:
-        """Path of the *kind* artifact for *key* (protocol plumbing)."""
-        lookup = {
-            "asm": self.asm_path,
-            "trace": self.trace_path,
-            "profile": self.profile_path,
-            "result": self.result_path,
-        }
-        try:
-            return lookup[kind](key)
-        except KeyError:
-            raise ValueError(f"unknown artifact kind {kind!r}") from None
-
-    def has_artifact(self, kind: str, key: str) -> bool:
-        return self._present(self.artifact_path(kind, key))
-
-    def load_artifact_bytes(self, kind: str, key: str) -> tuple[bytes, str]:
-        """Verified raw bytes + sha256 of one artifact, for shipping.
-
-        The returned digest is the sidecar's (re-verified against the
-        bytes read), so a receiver can store bytes and checksum without
-        trusting the wire.
-        """
-        data = self._verified_bytes(self.artifact_path(kind, key), key)
-        return data, hashlib.sha256(data).hexdigest()
-
-    def store_artifact_bytes(
-        self, kind: str, key: str, data: bytes, sha256: str
-    ) -> None:
-        """Store shipped artifact bytes, verifying the sender's digest.
-
-        Raises :class:`CorruptArtifactError` (without touching the
-        cache) when the bytes do not hash to *sha256* — a transfer that
-        damaged an artifact must not publish it.
-        """
-        actual = hashlib.sha256(data).hexdigest()
-        if actual != sha256:
-            raise CorruptArtifactError(
-                f"shipped {kind} artifact {key[:12]} arrived damaged "
-                f"({actual[:12]} != {sha256[:12]})",
-                key=key,
-            )
-        self._write_bytes(self.artifact_path(kind, key), data)
 
     def corrupt_dir(self) -> Path:
         return self.root / CORRUPT_DIR

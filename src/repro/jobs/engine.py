@@ -15,14 +15,13 @@ cached disassembly listing instead.
 The :class:`ExecutionEngine` then retires the graph.  Jobs whose artifact
 already exists in the cache are recorded as hits and skipped; the rest
 are dispatched through a pluggable :class:`~repro.jobs.backends.base.
-ExecutorBackend` — in-process serial execution (``--backend serial``,
-the default at ``jobs=1`` and what the test suite exercises), a local
-:class:`~concurrent.futures.ProcessPoolExecutor`
-(``--backend pool``), or socket-connected ``repro-worker`` daemons
-(``--backend remote``) — each job as soon as its dependencies have
-retired.  Workers exchange artifacts exclusively through the
-content-addressed cache (see :mod:`repro.jobs.worker`), so results are
-byte-identical regardless of backend, worker count, or scheduling order.
+ExecutorBackend` — in-process serial execution (``jobs=1``, the default
+and what the test suite exercises) or a local
+:class:`~concurrent.futures.ProcessPoolExecutor` (``jobs > 1``) — each
+job as soon as its dependencies have retired.  Workers exchange
+artifacts exclusively through the content-addressed cache (see
+:mod:`repro.jobs.worker`), so results are byte-identical regardless of
+backend, worker count, or scheduling order.
 
 The engine treats partial failure the way a speculative machine treats
 misspeculation — detect, discard, re-execute:
@@ -37,8 +36,7 @@ misspeculation — detect, discard, re-execute:
   re-enqueues the *producer* of the damaged (and now quarantined)
   artifact, then the consumer, so corruption heals instead of crashing;
 * a broken process pool (crashed worker) is rebuilt; if pools keep
-  dying — or every remote worker is lost — the engine degrades to
-  serial in-process execution;
+  dying the engine degrades to serial in-process execution;
 * every retired job is journaled so ``--resume`` can skip work an
   interrupted invocation already finished.
 """
@@ -56,7 +54,7 @@ from repro import telemetry
 from repro.asm.disassembler import disassemble
 from repro.bench import SUITE
 from repro.jobs import keys
-from repro.jobs.backends import BACKEND_NAMES, Completion, WorkerLost
+from repro.jobs.backends import Completion, WorkerLost
 from repro.jobs.cache import ArtifactCache
 from repro.jobs.faults import FaultPlan
 from repro.jobs.graph import Job, JobGraph
@@ -86,9 +84,8 @@ class RunJournal:
     artifacts are still cached and intact.
 
     A journal is a context manager; :meth:`close` runs on exit whether
-    the engine retired the graph or raised, so long-lived processes that
-    execute many graphs (the ``repro-serve`` scheduler) never leak file
-    handles.
+    the engine retired the graph or raised, so a process that executes
+    many graphs never leaks file handles.
     """
 
     def __init__(self, directory: str | Path, graph: JobGraph):
@@ -149,8 +146,8 @@ class RequestKeys:
 
     ``result`` is ``None`` for a bare :class:`TraceRequest`.  Exposed so
     callers that need to map a request back to its artifacts after a run
-    (the ``repro-serve`` scheduler, the load harness) share the planner's
-    key derivation instead of re-implementing it.
+    (tests that inspect the cache) share the planner's key derivation
+    instead of re-implementing it.
     """
 
     compile: str
@@ -164,14 +161,7 @@ class RequestKeys:
 
 
 class Planner:
-    """Expands requests into a job graph against one cache/config.
-
-    ``adhoc`` maps benchmark names to :class:`~repro.bench.BenchmarkSpec`
-    objects that are not in the static :data:`~repro.bench.SUITE` — the
-    ad-hoc MiniC submissions of ``repro-serve``.  Jobs planned for an
-    ad-hoc spec carry the MiniC source in their payload so process-pool
-    workers (whose ``SUITE`` lacks the spec) can compile it locally.
-    """
+    """Expands requests into a job graph against one cache/config."""
 
     def __init__(
         self,
@@ -179,19 +169,12 @@ class Planner:
         report: FarmReport,
         telemetry_dir: str | None = None,
         profile: bool = False,
-        adhoc: dict[str, "BenchmarkSpec"] | None = None,
     ):
         self.cache = cache
         self.report = report
         self.telemetry_dir = str(telemetry_dir) if telemetry_dir is not None else None
         self.profile = profile
-        self.adhoc = adhoc if adhoc is not None else {}
         self._fingerprints: dict[tuple[str, int], str] = {}
-
-    def spec(self, benchmark: str) -> "BenchmarkSpec":
-        """The suite spec for *benchmark*, or its ad-hoc registration."""
-        spec = self.adhoc.get(benchmark)
-        return spec if spec is not None else SUITE[benchmark]
 
     def _telemetry_payload(self) -> tuple[str | None, bool]:
         """Telemetry directory + profile flag to embed in job payloads.
@@ -217,7 +200,7 @@ class Planner:
         memo = self._fingerprints.get((benchmark, scale))
         if memo is not None:
             return memo
-        spec = self.spec(benchmark)
+        spec = SUITE[benchmark]
         source = spec.source(scale)
         compile_key = keys.compile_key(benchmark, scale, source)
         fingerprint = None
@@ -244,7 +227,7 @@ class Planner:
     # -- downstream stages ----------------------------------------------
 
     def _resolve(self, request: Request, default_scale, default_max_steps):
-        spec = self.spec(request.benchmark)
+        spec = SUITE[request.benchmark]
         scale = default_scale if default_scale is not None else spec.default_scale
         max_steps = (
             request.max_steps if request.max_steps is not None else default_max_steps
@@ -264,7 +247,7 @@ class Planner:
         without adding any jobs to a graph.
         """
         scale, max_steps = self._resolve(request, default_scale, default_max_steps)
-        spec = self.spec(request.benchmark)
+        spec = SUITE[request.benchmark]
         compile_key = keys.compile_key(
             request.benchmark, scale, spec.source(scale)
         )
@@ -313,35 +296,24 @@ class Planner:
                         stage="analyze",
                         benchmark=request.benchmark,
                         deps=(trace_key, profile_key),
-                        payload=self._with_source(
-                            request.benchmark,
-                            scale,
-                            {
-                                "stage": "analyze",
-                                "key": result_key,
-                                "benchmark": request.benchmark,
-                                "scale": scale,
-                                "trace": trace_key,
-                                "profile": profile_key,
-                                "models": list(labels),
-                                "perfect_unrolling": request.perfect_unrolling,
-                                "perfect_inlining": request.perfect_inlining,
-                                "misprediction_stats": request.collect_misprediction_stats,
-                                "cache_dir": str(self.cache.root),
-                                "telemetry": telemetry_dir,
-                                "profiling": profile,
-                            },
-                        ),
+                        payload={
+                            "stage": "analyze",
+                            "key": result_key,
+                            "benchmark": request.benchmark,
+                            "scale": scale,
+                            "trace": trace_key,
+                            "profile": profile_key,
+                            "models": list(labels),
+                            "perfect_unrolling": request.perfect_unrolling,
+                            "perfect_inlining": request.perfect_inlining,
+                            "misprediction_stats": request.collect_misprediction_stats,
+                            "cache_dir": str(self.cache.root),
+                            "telemetry": telemetry_dir,
+                            "profiling": profile,
+                        },
                     )
                 )
         return graph
-
-    def _with_source(self, benchmark: str, scale: int, payload: dict) -> dict:
-        """Embed ad-hoc MiniC source so pool workers can compile it."""
-        spec = self.adhoc.get(benchmark)
-        if spec is not None:
-            payload["source"] = spec.source(scale)
-        return payload
 
     def _add_trace_jobs(
         self,
@@ -360,20 +332,16 @@ class Planner:
                 key=trace_key,
                 stage="trace",
                 benchmark=benchmark,
-                payload=self._with_source(
-                    benchmark,
-                    scale,
-                    {
-                        "stage": "trace",
-                        "key": trace_key,
-                        "benchmark": benchmark,
-                        "scale": scale,
-                        "max_steps": max_steps,
-                        "cache_dir": str(self.cache.root),
-                        "telemetry": telemetry_dir,
-                        "profiling": profile,
-                    },
-                ),
+                payload={
+                    "stage": "trace",
+                    "key": trace_key,
+                    "benchmark": benchmark,
+                    "scale": scale,
+                    "max_steps": max_steps,
+                    "cache_dir": str(self.cache.root),
+                    "telemetry": telemetry_dir,
+                    "profiling": profile,
+                },
             )
         )
         graph.add(
@@ -382,20 +350,16 @@ class Planner:
                 stage="profile",
                 benchmark=benchmark,
                 deps=(trace_key,),
-                payload=self._with_source(
-                    benchmark,
-                    scale,
-                    {
-                        "stage": "profile",
-                        "key": profile_key,
-                        "benchmark": benchmark,
-                        "scale": scale,
-                        "trace": trace_key,
-                        "cache_dir": str(self.cache.root),
-                        "telemetry": telemetry_dir,
-                        "profiling": profile,
-                    },
-                ),
+                payload={
+                    "stage": "profile",
+                    "key": profile_key,
+                    "benchmark": benchmark,
+                    "scale": scale,
+                    "trace": trace_key,
+                    "cache_dir": str(self.cache.root),
+                    "telemetry": telemetry_dir,
+                    "profiling": profile,
+                },
             )
         )
         return trace_key, profile_key
@@ -411,18 +375,14 @@ def run_requests(
     retry: RetryPolicy | None = None,
     faults: str | FaultPlan | None = None,
     resume: bool = False,
-    adhoc: dict | None = None,
     report: FarmReport | None = None,
-    backend: str | None = None,
-    workers: list[str] | str | None = None,
 ) -> FarmReport:
     """Plan *requests* into a job graph, retire it, and return the report.
 
     The library entry point onto the farm: everything the
     ``repro-experiments`` CLI does to produce artifacts — planning,
     deduplication, cache hits, retries — behind one call, with no table
-    rendering attached.  ``repro-serve`` batches live through here, as
-    does the serve load harness when it computes expected result bytes.
+    rendering attached.
 
     All artifacts land in *cache*; use
     :meth:`Planner.request_keys` to locate them afterwards.  Passing an
@@ -430,11 +390,10 @@ def run_requests(
     """
     if report is None:
         report = FarmReport()
-    planner = Planner(cache, report, adhoc=adhoc)
+    planner = Planner(cache, report)
     graph = planner.plan(requests, default_scale, max_steps)
     engine = ExecutionEngine(
-        cache, jobs=jobs, retry=retry, faults=faults, resume=resume,
-        backend=backend, workers=workers,
+        cache, jobs=jobs, retry=retry, faults=faults, resume=resume
     )
     engine.execute(graph, report)
     return report
@@ -490,12 +449,8 @@ class ExecutionEngine:
     :class:`~repro.jobs.faults.FaultPlan`); ``resume`` skips jobs the
     run journal shows a previous identical invocation already retired.
 
-    ``backend`` picks the executor: ``"serial"`` (in-process),
-    ``"pool"`` (local process pool of ``jobs`` workers), or ``"remote"``
-    (``repro-worker`` daemons at the ``workers`` addresses, each holding
-    up to ``jobs`` jobs in flight).  Left ``None``, it is inferred the
-    way the farm always behaved: remote when worker addresses are given,
-    else pool when ``jobs > 1``, else serial.
+    The executor is a local process pool of ``jobs`` workers when
+    ``jobs > 1``, else serial in-process execution.
     """
 
     def __init__(
@@ -505,8 +460,6 @@ class ExecutionEngine:
         retry: RetryPolicy | None = None,
         faults: str | FaultPlan | None = None,
         resume: bool = False,
-        backend: str | None = None,
-        workers: list[str] | str | None = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be a positive worker count")
@@ -517,23 +470,6 @@ class ExecutionEngine:
             faults = FaultPlan.from_spec(faults)
         self.faults = faults
         self.resume = resume
-        if isinstance(workers, str):
-            workers = [w.strip() for w in workers.split(",") if w.strip()]
-        self.workers: list[str] = list(workers) if workers else []
-        if backend is None:
-            backend = (
-                "remote" if self.workers else ("pool" if jobs > 1 else "serial")
-            )
-        if backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {backend!r} (choose from "
-                f"{', '.join(BACKEND_NAMES)})"
-            )
-        if backend == "remote" and not self.workers:
-            raise ValueError(
-                "remote backend needs worker addresses (host:port,...)"
-            )
-        self.backend_name = backend
 
     def execute(self, graph: JobGraph, report: FarmReport) -> None:
         with RunJournal(self.cache.root / "journal", graph) as journal:
@@ -591,7 +527,7 @@ class ExecutionEngine:
             payload["in_process"] = True
         if self.faults is not None:
             payload["faults"] = self.faults.to_spec()
-        if "trace_ctx" not in payload and telemetry.enabled():
+        if telemetry.enabled():
             ctx = self._dispatch_trace_ctx()
             if ctx is not None:
                 payload["trace_ctx"] = ctx
@@ -603,10 +539,8 @@ class ExecutionEngine:
 
         The worker's ``job.<stage>`` span parents to the innermost open
         span here (``farm.execute``), inheriting the invocation's trace
-        id; planners that already embedded a per-submission ``trace_ctx``
-        (the ``repro-serve`` scheduler) take precedence in
-        :meth:`_payload`.  Only built when telemetry is enabled, so
-        disabled runs ship byte-identical payloads.
+        id.  Only built when telemetry is enabled, so disabled runs ship
+        byte-identical payloads.
         """
         open_span = telemetry.current_span()
         trace_id = getattr(open_span, "trace_id", None)
@@ -618,7 +552,7 @@ class ExecutionEngine:
             trace_id = ambient.trace_id
             if parent_id is None:
                 parent_id = ambient.parent_id
-        return {"trace_id": trace_id, "parent_id": parent_id}
+        return telemetry.TraceContext(trace_id, parent_id).to_payload()
 
     # -- failure handling ----------------------------------------------
 
@@ -741,61 +675,44 @@ class ExecutionEngine:
 
     # -- the backend dispatch loop ---------------------------------------
 
-    def _make_backend(self, report: FarmReport, name: str):
-        """Instantiate one backend, degrading pool→serial if no pool fits."""
-        if name == "serial":
-            from repro.jobs.backends.serial import SerialBackend
-
-            return SerialBackend()
-        if name == "pool":
-            from repro.jobs.backends.pool import PoolBackend
-            from repro.jobs.backends.serial import SerialBackend
-
-            try:
-                return PoolBackend(self.jobs)
-            except (BrokenProcessPool, OSError) as exc:
-                report.note(
-                    f"process pool unavailable ({exc}); running serially"
-                )
-                return SerialBackend()
-        from repro.jobs.backends.remote import RemoteBackend
-
-        return RemoteBackend(self.cache, self.workers, per_worker=self.jobs)
-
-    def _replace_backend(
-        self, backend, rebuilds: int, report: FarmReport
-    ) -> tuple[object, int]:
-        """A broken backend's successor, per the degradation policy."""
+    def _make_backend(self, report: FarmReport):
+        """Instantiate the backend, degrading pool→serial if no pool fits."""
         from repro.jobs.backends.serial import SerialBackend
 
-        name = backend.capabilities.name
-        if name == "pool":
-            rebuilds += 1
-            if rebuilds > self.retry.max_pool_rebuilds:
-                report.note(
-                    f"process pool died {rebuilds} times; degrading "
-                    f"to serial in-process execution"
-                )
-                return SerialBackend(), rebuilds
+        if self.jobs == 1:
+            return SerialBackend()
+        from repro.jobs.backends.pool import PoolBackend
+
+        try:
+            return PoolBackend(self.jobs)
+        except (BrokenProcessPool, OSError) as exc:
+            report.note(f"process pool unavailable ({exc}); running serially")
+            return SerialBackend()
+
+    def _replace_backend(
+        self, rebuilds: int, report: FarmReport
+    ) -> tuple[object, int]:
+        """A broken pool's successor: a fresh pool, or serial execution
+        once rebuilds run out (the serial backend never breaks)."""
+        from repro.jobs.backends.serial import SerialBackend
+
+        rebuilds += 1
+        if rebuilds > self.retry.max_pool_rebuilds:
             report.note(
-                f"process pool died (rebuild {rebuilds}/"
-                f"{self.retry.max_pool_rebuilds}); rebuilding"
-            )
-            return self._make_backend(report, "pool"), rebuilds
-        if name == "remote":
-            report.note(
-                "all remote workers lost; degrading to serial "
-                "in-process execution"
+                f"process pool died {rebuilds} times; degrading "
+                f"to serial in-process execution"
             )
             return SerialBackend(), rebuilds
-        raise RuntimeError(
-            f"{name} backend broke, and there is nothing to degrade to"
+        report.note(
+            f"process pool died (rebuild {rebuilds}/"
+            f"{self.retry.max_pool_rebuilds}); rebuilding"
         )
+        return self._make_backend(report), rebuilds
 
     def _execute(
         self, state: _RunState, report: FarmReport, journal: RunJournal
     ) -> None:
-        backend = self._make_backend(report, self.backend_name)
+        backend = self._make_backend(report)
         rebuilds = 0
         try:
             while state.pending or backend.in_flight:
@@ -810,7 +727,7 @@ class ExecutionEngine:
                     payload = self._payload(
                         job,
                         attempt,
-                        in_process=backend.capabilities.name == "serial",
+                        in_process=backend.name == "serial",
                     )
                     try:
                         backend.submit(
@@ -832,14 +749,10 @@ class ExecutionEngine:
                         continue
                     if state.pending:
                         raise RuntimeError("job graph has a dependency cycle")
-                self._drain_notes(backend, report)
                 if backend.broken:
                     backend.shutdown()
-                    backend, rebuilds = self._replace_backend(
-                        backend, rebuilds, report
-                    )
+                    backend, rebuilds = self._replace_backend(rebuilds, report)
         finally:
-            self._drain_notes(backend, report)
             backend.shutdown()
 
     def _settle(
@@ -886,12 +799,3 @@ class ExecutionEngine:
         if wake_at is not None:
             horizon = min(horizon, max(0.01, wake_at - time.monotonic()))
         return horizon
-
-    @staticmethod
-    def _drain_notes(backend, report: FarmReport) -> None:
-        """Surface backend operator notes (e.g. worker losses)."""
-        take = getattr(backend, "take_notes", None)
-        if take is None:
-            return
-        for note in take():
-            report.note(note)

@@ -12,9 +12,6 @@ timing record is returned.
 Programs are not shipped either: each worker recompiles the benchmark's
 MiniC source locally (compilation is ~3 orders of magnitude cheaper than
 tracing) and memoizes it per process via the benchmark compile cache.
-Ad-hoc submissions (``repro-serve`` jobs compiled from client-supplied
-MiniC rather than a suite benchmark) carry their source in the payload,
-since the worker process's :data:`~repro.bench.SUITE` cannot know them.
 """
 
 from __future__ import annotations
@@ -64,14 +61,12 @@ def execute_job(payload: dict) -> dict:
         clause = plan.match(stage, payload["key"], payload.get("attempt", 1))
     if clause is not None and clause.mode in ("raise", "hang", "exit"):
         faults.trigger_before(clause, payload)
-    trace_ctx = payload.get("trace_ctx")
+    trace_ctx = telemetry.TraceContext.from_payload(payload.get("trace_ctx"))
     with telemetry.span(
         f"job.{stage}", benchmark=payload["benchmark"], key=payload["key"]
     ) as job_span, telemetry.profiled(f"job-{stage}-{payload['benchmark']}"):
-        if trace_ctx:
-            job_span.link(
-                trace_ctx.get("trace_id"), trace_ctx.get("parent_id")
-            )
+        if trace_ctx is not None:
+            job_span.link(trace_ctx.trace_id, trace_ctx.parent_id)
         if stage == "trace":
             _trace_job(payload)
         elif stage == "profile":
@@ -102,27 +97,8 @@ def _artifact_path(payload: dict):
     return lookup[payload["stage"]](payload["key"])
 
 
-#: Per-process memo of ad-hoc programs (name embeds the source digest).
-_ADHOC_PROGRAMS: dict = {}
-
-
 def _program(payload: dict):
-    spec = SUITE.get(payload["benchmark"])
-    if spec is not None:
-        return spec.compile(payload["scale"])
-    source = payload.get("source")
-    if source is None:
-        raise KeyError(
-            f"unknown benchmark {payload['benchmark']!r} and the payload "
-            f"carries no inline MiniC source"
-        )
-    name = payload["benchmark"]
-    program = _ADHOC_PROGRAMS.get(name)
-    if program is None:
-        from repro.lang import compile_source
-
-        program = _ADHOC_PROGRAMS[name] = compile_source(source, name=name)
-    return program
+    return SUITE[payload["benchmark"]].compile(payload["scale"])
 
 
 def _trace_job(payload: dict) -> None:

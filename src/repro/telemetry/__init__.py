@@ -18,21 +18,11 @@ sink files that the engine folds into the main ``spans.jsonl``
 """
 
 from repro.telemetry import context
-from repro.telemetry.context import (
-    TraceContext,
-    format_traceparent,
-    parse_traceparent,
-)
+from repro.telemetry.context import TraceContext
 from repro.telemetry.metrics import METRICS, MetricsRegistry, STANDARD_METRICS
 from repro.telemetry.profiler import profiled
 from repro.telemetry.sinks import load_spans, merge_worker_sinks
-from repro.telemetry.spans import (
-    current_span,
-    mint_span_id,
-    record_span,
-    span,
-    traced,
-)
+from repro.telemetry.spans import current_span, record_span, span, traced
 from repro.telemetry.state import (
     configure,
     enabled,
@@ -52,11 +42,8 @@ __all__ = [
     "current_span",
     "enabled",
     "flush",
-    "format_traceparent",
     "load_spans",
     "merge_worker_sinks",
-    "mint_span_id",
-    "parse_traceparent",
     "profiled",
     "profiling",
     "record_span",

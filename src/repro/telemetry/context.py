@@ -1,43 +1,21 @@
-"""W3C-traceparent-style trace context for cross-process span stitching.
+"""Trace context for cross-process span stitching.
 
 One :class:`TraceContext` names a distributed trace (a 32-hex
 ``trace_id``) and the span the next emitted root span should parent to
-(``parent_id``, or None at the origin).  Contexts travel three ways:
+(``parent_id``, or None at the origin).  Contexts travel two ways:
 
-* over HTTP as a ``traceparent`` header
-  (``00-<trace_id>-<parent span id>-01``, see :func:`format_traceparent`);
 * inside farm job payloads as a ``trace_ctx`` dict, so pool worker
   processes stitch their ``worker-<pid>.jsonl`` spans into the
   submitting trace (:meth:`TraceContext.to_payload`);
-* in-process via a thread-local override (:func:`activate`) layered over
-  a process-wide default (:func:`set_default`), read by
+* in-process via a process-wide default (:func:`set_default`), read by
   :mod:`repro.telemetry.spans` whenever a root span opens.
-
-The thread-local layer matters for ``repro-serve``: the event-loop
-thread and the scheduler's executor thread record spans concurrently for
-*different* traces, so a single process-wide slot would cross wires.
-
-Internal span ids (``<pid hex>-<counter hex>``) contain dashes, so
-:func:`parse_traceparent` splits from both ends instead of naively on
-every dash: field 0 is the version, field 1 the trace id, the last field
-the flags, and everything between is the parent span id.
 """
 
 from __future__ import annotations
 
-import re
-import threading
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
-#: The traceparent version this implementation emits.
-TRACEPARENT_VERSION = "00"
-
-_TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
-
-_local = threading.local()
 _default: "TraceContext | None" = None
 
 
@@ -73,68 +51,18 @@ def mint() -> TraceContext:
     return TraceContext(new_trace_id(), None)
 
 
-def format_traceparent(ctx: TraceContext) -> str:
-    """Render *ctx* as a ``traceparent`` header value.
-
-    The parent field carries our internal span id verbatim (it may
-    contain dashes); a context with no parent renders the span-id field
-    as all zeroes, the W3C placeholder.
-    """
-    parent = ctx.parent_id if ctx.parent_id else "0" * 16
-    return f"{TRACEPARENT_VERSION}-{ctx.trace_id}-{parent}-01"
-
-
-def parse_traceparent(header: str | None) -> TraceContext | None:
-    """Parse a ``traceparent`` header; None when absent or malformed.
-
-    Tolerant by design — a bad header from a client must never fail the
-    request, it just starts a fresh trace.  The parent span id is the
-    middle fields rejoined, so internal dash-bearing span ids round-trip.
-    """
-    if not header:
-        return None
-    parts = header.strip().split("-")
-    if len(parts) < 4:
-        return None
-    version, trace_id, flags = parts[0], parts[1].lower(), parts[-1]
-    parent = "-".join(parts[2:-1])
-    if len(version) != 2 or len(flags) != 2:
-        return None
-    if not _TRACE_ID_RE.match(trace_id) or trace_id == "0" * 32:
-        return None
-    if not parent or set(parent) == {"0"}:
-        return TraceContext(trace_id, None)
-    return TraceContext(trace_id, parent)
-
-
-# -- in-process propagation ------------------------------------------------
-
-
 def set_default(ctx: TraceContext | None) -> None:
-    """Install the process-wide default context (a CLI invocation's)."""
+    """Install the process-wide context (a CLI invocation's)."""
     global _default
     _default = ctx
 
 
 def current() -> TraceContext | None:
-    """This thread's active context: the override, else the default."""
-    override = getattr(_local, "ctx", None)
-    return override if override is not None else _default
-
-
-@contextmanager
-def activate(ctx: TraceContext | None) -> Iterator[TraceContext | None]:
-    """Thread-locally activate *ctx* for the duration of the block."""
-    previous = getattr(_local, "ctx", None)
-    _local.ctx = ctx
-    try:
-        yield ctx
-    finally:
-        _local.ctx = previous
+    """The process-wide context, or None."""
+    return _default
 
 
 def clear() -> None:
-    """Drop the default and this thread's override (telemetry shutdown)."""
+    """Drop the process-wide context (telemetry shutdown)."""
     global _default
     _default = None
-    _local.ctx = None

@@ -424,49 +424,6 @@ STANDARD_METRICS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ),
     (
         "counter",
-        "repro_serve_requests_total",
-        "HTTP requests handled by repro-serve, per method/route/status",
-        ("method", "route", "status"),
-    ),
-    (
-        "histogram",
-        "repro_serve_request_seconds",
-        "Wall seconds spent handling one repro-serve HTTP request, per route",
-        ("route",),
-    ),
-    (
-        "counter",
-        "repro_serve_jobs_total",
-        "repro-serve job submissions, per outcome (accepted, coalesced, "
-        "rejected, completed, failed)",
-        ("outcome",),
-    ),
-    (
-        "gauge",
-        "repro_serve_queue_depth",
-        "Submissions waiting in the repro-serve fair queue (sampled)",
-        (),
-    ),
-    (
-        "counter",
-        "repro_serve_backpressure_total",
-        "Submissions rejected with 429 because the repro-serve queue was full",
-        (),
-    ),
-    (
-        "gauge",
-        "repro_serve_draining",
-        "1 while repro-serve is draining for graceful shutdown, else 0",
-        (),
-    ),
-    (
-        "counter",
-        "repro_serve_tenant_submissions_total",
-        "Job submissions received by repro-serve, per tenant",
-        ("tenant",),
-    ),
-    (
-        "counter",
         "repro_vm_blocks_compiled_total",
         "Basic blocks compiled into specialized VM dispatch handlers, "
         "per program",
@@ -490,36 +447,6 @@ STANDARD_METRICS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "repro_trace_chunks_read_total",
         "RTRC v2 frames read by TraceReader",
         (),
-    ),
-    (
-        "counter",
-        "repro_remote_jobs_shipped_total",
-        "Farm jobs shipped to remote repro-worker daemons, per worker",
-        ("worker",),
-    ),
-    (
-        "counter",
-        "repro_remote_jobs_stolen_total",
-        "Farm jobs stolen from a busy home worker by an idle one, per worker",
-        ("worker",),
-    ),
-    (
-        "counter",
-        "repro_remote_bytes_pulled_total",
-        "Input artifact bytes served to remote workers, per artifact kind",
-        ("kind",),
-    ),
-    (
-        "counter",
-        "repro_remote_bytes_pushed_total",
-        "Produced artifact bytes received from remote workers, per kind",
-        ("kind",),
-    ),
-    (
-        "counter",
-        "repro_remote_worker_losses_total",
-        "Remote worker connections condemned mid-run, per worker",
-        ("worker",),
     ),
 )
 

@@ -11,11 +11,9 @@ Records carry ``name``, ``id``, ``parent`` (the enclosing span's id, or
 None at the root), ``trace`` (the distributed trace id the span belongs
 to, or None), ``pid``, ``ts`` (wall-clock start, seconds since the
 epoch), ``dur`` (monotonic duration, seconds), and an ``attrs`` object of
-JSON-serializable attributes.  Nesting uses a per-thread stack: the batch
+JSON-serializable attributes.  Nesting uses a per-thread stack; the
 pipeline is single-threaded within a process (farm workers each get their
-own process and sink file), while ``repro-serve`` records request spans
-on its event-loop thread concurrently with farm spans from the executor
-thread that retires job graphs — separate stacks keep both consistent.
+own process and sink file).
 
 A *root* span (empty stack) consults :mod:`repro.telemetry.context` for
 an active :class:`~repro.telemetry.context.TraceContext`: when one is
@@ -45,13 +43,7 @@ _ids = itertools.count(1)
 
 
 def mint_span_id() -> str:
-    """A fresh span id (``<pid hex>-<counter hex>``).
-
-    Exposed for callers that must know a span's id *before* the span
-    record is emitted — e.g. ``repro-serve`` mints the request span's id
-    up front so child work scheduled on other threads can parent to it,
-    then emits the request span via :func:`record_span` at the end.
-    """
+    """A fresh span id (``<pid hex>-<counter hex>``), unique across processes."""
     return f"{os.getpid():x}-{next(_ids):x}"
 
 
@@ -184,42 +176,30 @@ def traced(name: str | None = None, **attrs: Any) -> Callable:
     return decorate
 
 
-def record_span(
-    name: str,
-    duration: float,
-    *,
-    span_id: str | None = None,
-    parent_id: str | None = None,
-    trace_id: str | None = None,
-    **attrs: Any,
-) -> None:
+def record_span(name: str, duration: float, **attrs: Any) -> None:
     """Emit a completed span with an externally measured duration.
 
     For hot regions that time themselves with a plain ``perf_counter``
     pair instead of entering a context manager (e.g. the VM interpreter
-    loop).  By default the record is parented to the innermost open span
+    loop).  The record is parented to the innermost open span
     (inheriting its trace), falling back to the ambient
     :class:`~repro.telemetry.context.TraceContext` when the stack is
-    empty.  ``span_id``/``parent_id``/``trace_id`` override the linkage
-    explicitly — ``repro-serve`` pre-mints the request span's id so work
-    scheduled on other threads can parent to it before it is emitted.
+    empty.
     """
     if not state.STATE.sink.enabled:
         return
-    if parent_id is None or trace_id is None:
-        stack = _stack()
-        if stack:
-            parent_id = stack[-1].span_id if parent_id is None else parent_id
-            trace_id = stack[-1].trace_id if trace_id is None else trace_id
-        else:
-            ctx = context.current()
-            if ctx is not None:
-                parent_id = ctx.parent_id if parent_id is None else parent_id
-                trace_id = ctx.trace_id if trace_id is None else trace_id
+    parent_id = trace_id = None
+    stack = _stack()
+    if stack:
+        parent_id, trace_id = stack[-1].span_id, stack[-1].trace_id
+    else:
+        ctx = context.current()
+        if ctx is not None:
+            parent_id, trace_id = ctx.parent_id, ctx.trace_id
     state.STATE.sink.emit(
         {
             "name": name,
-            "id": span_id if span_id is not None else mint_span_id(),
+            "id": mint_span_id(),
             "parent": parent_id,
             "trace": trace_id,
             "pid": os.getpid(),

@@ -62,7 +62,7 @@ def aggregate_spans(records: list[dict]) -> list[dict]:
     return rows
 
 
-#: Percentiles rendered by ``--percentiles`` (and the serve load harness).
+#: Percentiles rendered by ``--percentiles``.
 PERCENTILES = (50, 95, 99)
 
 
@@ -85,8 +85,7 @@ def aggregate_percentiles(records: list[dict]) -> list[dict]:
     """Per-span-name duration percentiles, sorted by total time.
 
     Groups by span name only (not benchmark): percentile tables answer
-    "how slow is this operation across everything it served", which is
-    the latency-report shape the serve load harness emits.
+    "how slow is this operation across every benchmark".
     """
     groups: dict[str, list[float]] = {}
     for record in records:

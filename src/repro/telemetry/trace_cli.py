@@ -12,10 +12,10 @@ Usage::
 Reads the same ``spans.jsonl`` + ``worker-*.jsonl`` files as
 ``repro-stats``, but instead of aggregating it *stitches*: records are
 grouped by their ``trace`` id and linked ``parent`` → ``id`` into a span
-forest, across process boundaries — a ``serve.request`` span recorded on
-the service's event loop, the ``serve.schedule`` span from its executor
-thread, and the ``job.analyze`` span from a pool worker's
-``worker-<pid>.jsonl`` all land in one tree when they share a trace id.
+forest, across process boundaries — the ``farm.execute`` span recorded
+by ``repro-experiments`` and the ``job.analyze`` span from a pool
+worker's ``worker-<pid>.jsonl`` land in one tree when they share a
+trace id.
 
 Spans whose parent id never appears in the loaded records (the parent
 process crashed before flushing, or only a worker file was collected)

@@ -162,8 +162,18 @@ class TestCli:
     def test_kind_filter_without_matches_exits_2(self, tmp_path, capsys):
         path = tmp_path / "h.jsonl"
         append(path, "vm-bench", timings())
-        assert main([str(path), "--kind", "serve-load"]) == 2
-        assert "no 'serve-load' records" in capsys.readouterr().err
+        assert main([str(path), "--kind", "x"]) == 2
+        assert "no 'x' records" in capsys.readouterr().err
+
+    def test_kind_filter_accepts_any_recorded_kind(self, tmp_path, capsys):
+        # The pipeline bench writes one kind per workload; --kind must
+        # not restrict itself to a fixed list.
+        path = tmp_path / "h.jsonl"
+        append(path, "pipeline.trace-long", timings())
+        append(path, "pipeline.trace-long", timings())
+        assert main([str(path), "--kind", "pipeline.trace-long", "--json"]) == 0
+        [result] = json.loads(capsys.readouterr().out)["results"]
+        assert result["kind"] == "pipeline.trace-long"
 
     def test_record_without_entries_is_skipped(self, tmp_path):
         path = tmp_path / "h.jsonl"

@@ -1,10 +1,14 @@
 """Tests for the ablation studies and the CLI driver."""
 
+import os
+import time
+
 import pytest
 
 from repro.experiments import RunConfig, SuiteRunner
 from repro.experiments import ablations
 from repro.experiments.cli import EXPERIMENTS, main
+from repro.jobs.cache import ORPHAN_MIN_AGE_S
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +174,16 @@ class TestCLI:
         text = report.read_text()
         assert "repro-experiments report" in text
         assert "Benchmark Programs" in text
+
+    def test_startup_sweep_reclaims_aged_orphans(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        orphan = cache / "traces" / ".dead.rtrc.gz.12345.gz"
+        orphan.parent.mkdir(parents=True)
+        orphan.write_bytes(b"abandoned by a killed writer")
+        old = time.time() - ORPHAN_MIN_AGE_S - 60
+        os.utime(orphan, (old, old))
+        assert main(["table1", "--cache-dir", str(cache)]) == 0
+        assert not orphan.exists()
 
     def test_experiment_registry_complete(self):
         expected = {

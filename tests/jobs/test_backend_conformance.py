@@ -1,16 +1,15 @@
 """Backend-conformance suite: every executor backend, one contract.
 
-Runs the same checks against the serial, pool, and remote backends:
-cold-cache runs must produce byte-identical artifacts regardless of
-backend or scheduling order, per-attempt timeouts must condemn hung
-work and let the retry machinery recover, journal/``--resume`` must
-skip retired jobs, and deterministic fault injection must converge to
-the same artifacts everywhere.  A new backend earns its place by
+Runs the same checks against the serial and pool backends: cold-cache
+runs must produce byte-identical artifacts regardless of backend or
+scheduling order, per-attempt timeouts must condemn hung work and let
+the retry machinery recover, journal/``--resume`` must skip retired
+jobs, and deterministic fault injection must converge to the same
+artifacts everywhere.  A new backend earns its place by
 passing this file unmodified.
 """
 
-import subprocess
-import sys
+import hashlib
 import time
 
 import pytest
@@ -27,7 +26,7 @@ from repro.jobs import (
 
 M = MachineModel
 MAX_STEPS = 4_000
-BACKENDS = ("serial", "pool", "remote")
+BACKENDS = ("serial", "pool")
 
 REQUESTS = [
     AnalysisRequest("awk", models=(M.BASE, M.ORACLE)),
@@ -40,57 +39,29 @@ def plan(cache, report, requests=REQUESTS):
 
 
 def artifact_bytes(cache, report):
-    """Raw bytes of every artifact the report's jobs produced."""
-    stage_kind = {"trace": "trace", "profile": "profile", "analyze": "result"}
+    """Verified bytes and sha256 of every artifact the report's jobs produced."""
+    stage_path = {
+        "trace": cache.trace_path,
+        "profile": cache.profile_path,
+        "analyze": cache.result_path,
+    }
     out = {}
     for record in report.records.values():
-        kind = stage_kind.get(record.stage)
-        if kind is None:
+        path_of = stage_path.get(record.stage)
+        if path_of is None:
             continue
-        data, sha = cache.load_artifact_bytes(kind, record.key)
-        out[(kind, record.key)] = (data, sha)
+        path = path_of(record.key)
+        data = path.read_bytes()
+        sidecar = cache.checksum_path(path).read_text().strip()
+        assert sidecar == hashlib.sha256(data).hexdigest(), path
+        out[(record.stage, record.key)] = (data, sidecar)
     return out
 
 
-@pytest.fixture(scope="module")
-def worker_farm(tmp_path_factory):
-    """Two live repro-worker daemons on localhost, torn down at the end."""
-    daemons = []
-    addresses = []
-    root = tmp_path_factory.mktemp("workers")
-    for index in range(2):
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.jobs.worker_daemon",
-                "--port",
-                "0",
-                "--cache-dir",
-                str(root / f"wcache{index}"),
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        line = proc.stdout.readline()
-        assert "listening on" in line, line
-        addresses.append(line.split("listening on ")[1].split()[0])
-        daemons.append(proc)
-    yield addresses
-    for proc in daemons:
-        proc.kill()
-        proc.wait(timeout=10)
-
-
 @pytest.fixture(params=BACKENDS)
-def backend_kwargs(request, worker_farm):
-    """ExecutionEngine kwargs selecting one backend."""
-    if request.param == "serial":
-        return {"backend": "serial", "jobs": 1}
-    if request.param == "pool":
-        return {"backend": "pool", "jobs": 2}
-    return {"backend": "remote", "jobs": 2, "workers": list(worker_farm)}
+def backend_kwargs(request):
+    """ExecutionEngine kwargs selecting one backend by worker count."""
+    return {"jobs": 1 if request.param == "serial" else 2}
 
 
 class TestByteIdentity:
@@ -100,7 +71,7 @@ class TestByteIdentity:
         reference_cache = ArtifactCache(tmp_path / "reference")
         reference = FarmReport()
         graph = plan(reference_cache, reference)
-        ExecutionEngine(reference_cache, backend="serial").execute(
+        ExecutionEngine(reference_cache).execute(
             graph, reference
         )
 
@@ -175,7 +146,7 @@ class TestFaultDeterminism:
         reference_cache = ArtifactCache(tmp_path / "reference")
         reference = FarmReport()
         graph = plan(reference_cache, reference, requests)
-        ExecutionEngine(reference_cache, backend="serial").execute(
+        ExecutionEngine(reference_cache).execute(
             graph, reference
         )
 

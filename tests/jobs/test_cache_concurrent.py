@@ -1,15 +1,18 @@
 """Concurrent multi-engine use of one artifact cache (repro.jobs.cache).
 
-repro-serve runs farm batches while a batch CLI may be writing to the
-same cache directory.  The atomic-rename invariant (documented in the
+Several ``repro-experiments`` invocations may write to the same cache
+directory at once.  The atomic-rename invariant (documented in the
 cache module) makes this safe: these tests pin it by racing two engines
 over one cache and by exercising the startup orphan sweep.
 """
 
+import os
 import threading
+import time
 
 import pytest
 
+from repro.bench import SUITE
 from repro.jobs import (
     AnalysisRequest,
     ArtifactCache,
@@ -17,7 +20,7 @@ from repro.jobs import (
     FarmReport,
     Planner,
 )
-from repro.jobs.cache import ARTIFACT_DIRS
+from repro.jobs.cache import ARTIFACT_DIRS, ORPHAN_MIN_AGE_S
 
 MAX_STEPS = 2_000
 
@@ -66,9 +69,7 @@ class TestConcurrentEngines:
         planner = Planner(cache, FarmReport())
         for request in requests:
             keys = planner.request_keys(request, None, MAX_STEPS)
-            program = planner.spec(request.benchmark).compile(
-                planner.spec(request.benchmark).default_scale
-            )
+            program = SUITE[request.benchmark].compile()
             assert cache.load_trace(keys.trace, program) is not None
             assert cache.load_profile(keys.profile) is not None
             assert cache.load_result(keys.result) is not None
@@ -99,11 +100,13 @@ class TestOrphanSweep:
         graph = planner.plan([request], None, MAX_STEPS)
         ExecutionEngine(cache).execute(graph, FarmReport())
 
-        # Plant orphans shaped like crashed writers' temp files.
+        # Plant orphans shaped like temp files of writers that died
+        # long ago.
         planted = []
         for directory in ARTIFACT_DIRS:
             orphan = cache.root / directory / ".deadbeef.json.12345.tmp"
             orphan.write_bytes(b"partial write")
+            age(orphan)
             planted.append(orphan)
 
         removed = cache.sweep_orphans()
@@ -117,3 +120,23 @@ class TestOrphanSweep:
     def test_sweep_on_empty_cache_is_zero(self, cache):
         assert cache.sweep_orphans() == 0
         assert cache.sweep_orphans() == 0  # idempotent
+
+    def test_fresh_temp_file_survives_the_sweep(self, cache):
+        """A recently written temp file may belong to a live writer in
+        another invocation sharing the cache: the sweep leaves it."""
+        directory = cache.root / "traces"
+        directory.mkdir(parents=True)
+        fresh = directory / ".live.rtrc.gz.12345.gz"
+        fresh.write_bytes(b"frame in progress")
+        stale = directory / ".dead.rtrc.gz.67890.gz"
+        stale.write_bytes(b"abandoned")
+        age(stale)
+        assert cache.sweep_orphans() == 1
+        assert fresh.exists()
+        assert not stale.exists()
+
+
+def age(path):
+    """Backdate *path* past the sweep's orphan age."""
+    old = time.time() - ORPHAN_MIN_AGE_S - 60
+    os.utime(path, (old, old))

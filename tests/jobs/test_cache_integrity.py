@@ -1,12 +1,15 @@
 """Tests for artifact-cache integrity: checksums, quarantine, torn writes."""
 
 import hashlib
+import os
 import pickle
+import time
 
 import pytest
 
 from repro.core import LimitAnalyzer, MachineModel
 from repro.jobs import ArtifactCache
+from repro.jobs.cache import ORPHAN_MIN_AGE_S
 from repro.lang import compile_source
 from repro.prediction import ProfilePredictor
 from repro.vm import VM, CorruptArtifactError
@@ -135,6 +138,8 @@ class TestTornWrites:
         cache.store_asm("a", "  halt\n")
         assert orphan.exists()  # untouched by the store
         assert cache.load_asm("a") == "  halt\n"
+        old = time.time() - ORPHAN_MIN_AGE_S - 60
+        os.utime(orphan, (old, old))  # its writer died long ago
         assert cache.sweep_orphans() == 1
         assert not orphan.exists()
         # Only the artifact and its sidecar remain.

@@ -2,8 +2,8 @@
 
 The resume semantics themselves live in test_resume.py; this file pins
 the *lifetime* contract: a journal is a context manager, and the engine
-closes it even when graph execution raises — a long-lived process (the
-repro-serve scheduler) must never leak journal handles across batches.
+closes it even when graph execution raises — a process that executes
+many graphs must never leak journal handles.
 """
 
 import pytest

@@ -1,16 +1,10 @@
 """Tests for distributed trace context (repro.telemetry.context)."""
 
-import pytest
+import json
 
 from repro import telemetry
 from repro.telemetry import context
-from repro.telemetry.context import (
-    TraceContext,
-    format_traceparent,
-    mint,
-    new_trace_id,
-    parse_traceparent,
-)
+from repro.telemetry.context import TraceContext, mint
 
 
 class TestTraceContext:
@@ -36,49 +30,14 @@ class TestTraceContext:
         assert TraceContext.from_payload({"parent_id": "x"}) is None
 
 
-class TestTraceparent:
-    def test_round_trip_with_dash_bearing_parent(self):
-        # Internal span ids are "<pid hex>-<counter hex>": the parent
-        # field itself contains a dash and must survive the round trip.
-        ctx = TraceContext(new_trace_id(), "1a2b-3f")
-        parsed = parse_traceparent(format_traceparent(ctx))
-        assert parsed == ctx
-
-    def test_no_parent_renders_all_zero_field(self):
-        header = format_traceparent(TraceContext("ef" * 16))
-        assert "-" + "0" * 16 + "-" in header
-        parsed = parse_traceparent(header)
-        assert parsed.trace_id == "ef" * 16
-        assert parsed.parent_id is None
-
-    @pytest.mark.parametrize(
-        "header",
-        [
-            None,
-            "",
-            "garbage",
-            "00-zznothex-1-01",
-            "00-abcd-1-01",  # trace id too short
-            "00-" + "0" * 32 + "-1-01",  # all-zero trace id
-            "00",
-        ],
-    )
-    def test_malformed_headers_parse_to_none(self, header):
-        assert parse_traceparent(header) is None
-
-
 class TestAmbientContext:
     def teardown_method(self):
         context.clear()
 
-    def test_default_and_activate_layering(self):
+    def test_default_is_the_ambient_context(self):
         assert context.current() is None
         default = mint()
         context.set_default(default)
-        assert context.current() is default
-        override = mint()
-        with context.activate(override):
-            assert context.current() is override
         assert context.current() is default
 
     def test_shutdown_clears_context(self):
@@ -90,13 +49,16 @@ class TestAmbientContext:
 class TestSpanIntegration:
     """Root spans adopt the ambient context (the worker stitch point)."""
 
+    def teardown_method(self):
+        context.clear()
+
     def test_root_span_adopts_ambient_context(self, tmp_path):
         telemetry.configure(tmp_path)
         ctx = TraceContext("12" * 16, "77-1")
-        with context.activate(ctx):
-            with telemetry.span("outer") as outer:
-                with telemetry.span("inner") as inner:
-                    pass
+        context.set_default(ctx)
+        with telemetry.span("outer") as outer:
+            with telemetry.span("inner") as inner:
+                pass
         assert outer.trace_id == ctx.trace_id
         assert outer.parent_id == "77-1"
         assert inner.trace_id == ctx.trace_id
@@ -114,19 +76,18 @@ class TestSpanIntegration:
         assert grandchild.trace_id == "ab" * 16
         assert grandchild.parent_id == child.span_id
 
-    def test_record_span_explicit_ids(self, tmp_path):
-        import json
-
+    def test_record_span_parents_to_the_open_span(self, tmp_path):
         telemetry.configure(tmp_path)
-        telemetry.record_span(
-            "serve.request", 0.5,
-            span_id="pre-1", parent_id="remote-2", trace_id="cd" * 16,
-        )
+        context.set_default(TraceContext("cd" * 16, "remote-2"))
+        telemetry.record_span("vm.run", 0.5)
+        with telemetry.span("enclosing") as enclosing:
+            telemetry.record_span("vm.run", 0.25)
         telemetry.flush()
-        [record] = [
+        root, nested = [
             json.loads(line)
             for line in (tmp_path / "spans.jsonl").read_text().splitlines()
+            if '"vm.run"' in line
         ]
-        assert record["id"] == "pre-1"
-        assert record["parent"] == "remote-2"
-        assert record["trace"] == "cd" * 16
+        assert (root["parent"], root["trace"]) == ("remote-2", "cd" * 16)
+        assert nested["parent"] == enclosing.span_id
+        assert nested["trace"] == "cd" * 16

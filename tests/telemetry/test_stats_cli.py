@@ -197,12 +197,12 @@ class TestPercentiles:
         )
 
         rows = aggregate_percentiles(
-            [span_record("serve.request", d / 10) for d in range(1, 11)]
+            [span_record("experiment", d / 10) for d in range(1, 11)]
         )
         text = render_percentile_table(rows)
         assert text.splitlines()[0].startswith("span")
         assert "p50 s" in text and "p95 s" in text and "p99 s" in text
-        assert "serve.request" in text
+        assert "experiment" in text
 
     def test_cli_percentiles_flag(self, tmp_path, capsys):
         write_fixture(tmp_path)

@@ -31,8 +31,8 @@ def rec(name, span_id, parent=None, trace=TRACE, ts=0.0, dur=1.0, pid=100):
 def cross_process_trace():
     """request → schedule → job.analyze spanning two pids."""
     return [
-        rec("serve.request", "64-1", parent=None, ts=0.0, dur=4.0),
-        rec("serve.schedule", "64-2", parent="64-1", ts=0.5, dur=3.0),
+        rec("experiment", "64-1", parent=None, ts=0.0, dur=4.0),
+        rec("farm.execute", "64-2", parent="64-1", ts=0.5, dur=3.0),
         rec("job.analyze", "c8-1", parent="64-2", ts=1.0, dur=2.0, pid=200),
         rec("vm.run", "c8-2", parent="c8-1", ts=1.2, dur=1.0, pid=200),
     ]
@@ -54,9 +54,9 @@ class TestGrouping:
 class TestForest:
     def test_cross_process_parent_links(self):
         [root] = build_forest(cross_process_trace())
-        assert root.name == "serve.request"
+        assert root.name == "experiment"
         [schedule] = root.children
-        assert schedule.name == "serve.schedule"
+        assert schedule.name == "farm.execute"
         [job] = schedule.children
         assert job.name == "job.analyze"
         assert job.pid == 200
@@ -94,7 +94,7 @@ class TestRendering:
         text = render_waterfall(forest)
         lines = text.splitlines()
         assert len(lines) == 4
-        assert "serve.request" in lines[0]
+        assert "experiment" in lines[0]
         assert "pid=100" in lines[0]
         assert "pid=200" in lines[2]
         assert "#" in lines[0]
@@ -102,10 +102,10 @@ class TestRendering:
     def test_collapsed_stacks_self_time(self):
         forest = build_forest(cross_process_trace())
         stacks = collapse_stacks(forest)
-        key = "serve.request;serve.schedule;job.analyze;vm.run"
+        key = "experiment;farm.execute;job.analyze;vm.run"
         assert stacks[key] == 1_000_000  # 1.0 s leaf, all self time
         # job.analyze: 2.0 s minus the 1.0 s vm.run child.
-        assert stacks["serve.request;serve.schedule;job.analyze"] == 1_000_000
+        assert stacks["experiment;farm.execute;job.analyze"] == 1_000_000
 
     def test_collapsed_stacks_clamp_negative_self_time(self):
         records = [
@@ -119,7 +119,7 @@ class TestRendering:
     def test_critical_path_exclusive_attribution(self):
         path = critical_path(build_forest(cross_process_trace()))
         assert [step["name"] for step in path] == [
-            "serve.request", "serve.schedule", "job.analyze", "vm.run"
+            "experiment", "farm.execute", "job.analyze", "vm.run"
         ]
         assert path[0]["exclusive_s"] == 1.0  # 4.0 - 3.0
         assert path[-1]["exclusive_s"] == 1.0  # leaf keeps everything
@@ -127,7 +127,7 @@ class TestRendering:
     def test_slowest_orders_by_duration(self):
         records = cross_process_trace()
         top = slowest_spans(records, 2)
-        assert [r["name"] for r in top] == ["serve.request", "serve.schedule"]
+        assert [r["name"] for r in top] == ["experiment", "farm.execute"]
 
 
 class TestCli:
@@ -162,21 +162,21 @@ class TestCli:
         write_spans(tmp_path, cross_process_trace())
         assert main([str(tmp_path), "--flame"]) == 0
         out = capsys.readouterr().out
-        assert "serve.request;serve.schedule;job.analyze;vm.run 1000000" in out
+        assert "experiment;farm.execute;job.analyze;vm.run 1000000" in out
 
     def test_slowest_flag(self, tmp_path, capsys):
         write_spans(tmp_path, cross_process_trace())
         assert main([str(tmp_path), "--slowest", "1"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1
-        assert "serve.request" in out[0]
+        assert "experiment" in out[0]
 
     def test_json_forest(self, tmp_path, capsys):
         write_spans(tmp_path, cross_process_trace())
         assert main([str(tmp_path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         [root] = doc[TRACE]
-        assert root["name"] == "serve.request"
+        assert root["name"] == "experiment"
         child = root["children"][0]["children"][0]
         assert child["name"] == "job.analyze"
 
