@@ -50,7 +50,7 @@ from repro.experiments import (
     table3,
     table4,
 )
-from repro.experiments.runner import RunConfig, SuiteRunner
+from repro.experiments.runner import DeadJobError, RunConfig, SuiteRunner
 
 #: Default location of the persistent artifact cache.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -335,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"experiment-{name}"
                 ):
                     output = EXPERIMENTS[name].run(runner)
-            except (AsmError, CompileError, DiagnosticError) as exc:
+            except (AsmError, CompileError, DiagnosticError, DeadJobError) as exc:
                 # Diagnostic-bearing failures are reported, not raised: the
                 # rendered diagnostics carry everything a traceback would.
                 print(f"{name}: {exc}", file=sys.stderr)

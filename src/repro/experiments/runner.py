@@ -9,7 +9,6 @@ every table and figure from one set of pixie runs.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -18,18 +17,22 @@ from repro import telemetry
 from repro.bench import SUITE, BenchmarkSpec
 from repro.core import ALL_MODELS, AnalysisResult, LimitAnalyzer, MachineModel
 from repro.diagnostics import DiagnosticError, Severity
-from repro.prediction import BranchPredictor, BranchStats, ProfilePredictor, branch_stats
+from repro.prediction import BranchPredictor, BranchStats, ProfilePredictor
 from repro.jobs import (
-    HIT,
-    RUN,
+    DEAD,
+    AnalysisRequest,
     ArtifactCache,
     ExecutionEngine,
     FarmReport,
     Planner,
     RetryPolicy,
+    TraceRequest,
 )
-from repro.jobs import keys as jobkeys
 from repro.vm import CorruptArtifactError, FastVM, Trace
+
+
+class DeadJobError(RuntimeError):
+    """An artifact the runner needs was not produced: its farm job died."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,8 @@ class BenchmarkRun:
     streaming readers.  :attr:`trace` materializes lazily for consumers
     that genuinely need whole-trace columns (the verifier, ablations);
     chunk-wise consumers call :meth:`trace_source` and never pay the
-    memory.  :attr:`stats` (Table 2) is likewise computed on first use,
-    chunk-wise.
+    memory.  :attr:`stats` (Table 2) comes from the profile's counts, with
+    no pass over the trace.
     """
 
     def __init__(
@@ -115,7 +118,6 @@ class BenchmarkRun:
         self.predictor = predictor
         self._trace = trace
         self._opener = opener
-        self._stats: BranchStats | None = None
 
     @property
     def name(self) -> str:
@@ -141,22 +143,23 @@ class BenchmarkRun:
 
     @property
     def stats(self) -> BranchStats:
-        """Branch statistics under the run's predictor (computed lazily)."""
-        if self._stats is None:
-            self._stats = branch_stats(self.trace_source(), self.predictor)
-        return self._stats
+        """Branch statistics of the run under its own profile predictor."""
+        return self.predictor.stats()
 
 
 class SuiteRunner:
     """Caches traces and analysis results across experiment modules.
 
     With ``RunConfig.cache_dir`` set, every expensive artifact — traces,
-    branch profiles, analysis results — is additionally read from and
-    written to the persistent content-addressed store of
-    :mod:`repro.jobs`, and :meth:`prefetch` can farm the work for a set
-    of experiment requests across worker processes before the experiment
-    modules render anything.  Without a cache directory the runner is the
-    original serial, in-process engine.
+    branch profiles, analysis results — is produced by the farm of
+    :mod:`repro.jobs` into its persistent content-addressed store and
+    loaded from there: :meth:`prefetch` farms the work for a set of
+    experiment requests across worker processes before the experiment
+    modules render anything, and :meth:`run` / :meth:`analyze` retire
+    their one request through the same planner and a serial engine, so
+    the stage functions of :mod:`repro.jobs.worker` are the only
+    definition of each stage.  Without a cache directory the runner is
+    the original serial, in-process engine.
     """
 
     def __init__(self, config: RunConfig | None = None):
@@ -179,28 +182,28 @@ class SuiteRunner:
             self._cache = ArtifactCache(self.config.cache_dir)
             self._planner = Planner(self._cache, self.farm_report)
 
-    def _scale_for(self, spec: BenchmarkSpec) -> int:
-        return self.config.scale if self.config.scale is not None else spec.default_scale
-
     def prefetch(self, requests: Iterable) -> None:
         """Produce all artifacts for *requests* up front, possibly in parallel.
 
-        Expands the requests into a compile → trace → profile → analysis
-        job graph, skips jobs whose artifact is already cached, and runs
-        the rest across ``RunConfig.jobs`` worker processes (serially
-        in-process for ``jobs=1``).  Subsequent :meth:`run` /
-        :meth:`analyze` calls then load the artifacts instead of
-        recomputing.  A no-op without a cache directory (workers ship
-        artifacts through the cache).
+        Expands the requests into a compile → trace → analysis job graph,
+        skips jobs whose artifact is already cached, and runs the rest
+        across ``RunConfig.jobs`` worker processes (serially in-process
+        for ``jobs=1``).  Subsequent :meth:`run` / :meth:`analyze` calls
+        then find every job a cache hit and only load the artifacts.  A
+        no-op without a cache directory (workers ship artifacts through
+        the cache).
         """
         if self._cache is None:
             return
+        self._retire(requests, self.config.jobs)
+
+    def _retire(self, requests: Iterable, jobs: int) -> None:
         graph = self._planner.plan(
             requests, self.config.scale, self.config.max_steps
         )
         engine = ExecutionEngine(
             self._cache,
-            jobs=self.config.jobs,
+            jobs=jobs,
             retry=RetryPolicy(
                 max_attempts=self.config.retries + 1,
                 job_timeout=self.config.job_timeout,
@@ -210,6 +213,42 @@ class SuiteRunner:
         )
         engine.execute(graph, self.farm_report)
 
+    def _load(self, request, load):
+        """Retire *request* serially through the farm, then ``load(keys)``.
+
+        The farm skips every job whose artifact the cache already holds.
+        A job that died (its retries ran out) raises :class:`DeadJobError`
+        with its last failure.  A load that finds its artifact corrupt
+        has already quarantined it, so the request is retired once more
+        to re-produce it; a second failure propagates.
+        """
+        keys = self._planner.request_keys(
+            request, self.config.scale, self.config.max_steps
+        )
+        self._retire([request], jobs=1)
+        for key in keys.all():
+            record = self.farm_report.records.get(key)
+            if record is not None and record.status == DEAD:
+                # A job is only killed after a failure is recorded for it.
+                cause = [f for f in self.farm_report.failures if f.key == key][-1]
+                raise DeadJobError(
+                    f"{record.stage} job for {record.benchmark} is dead: "
+                    f"{cause.message}"
+                )
+        try:
+            return load(keys)
+        except CorruptArtifactError as exc:
+            # The first-sighting rule would hide the re-run behind the
+            # stale hit, so drop the hit and record why.
+            stale = self.farm_report.records.pop(exc.key, None)
+            if stale is not None:
+                self.farm_report.record_failure(
+                    exc.key, stale.stage, stale.benchmark, "corrupt", 1,
+                    str(exc), retried=True,
+                )
+            self._retire([request], jobs=1)
+            return load(keys)
+
     def run(self, name: str) -> BenchmarkRun:
         """Compile, trace, and profile one benchmark (cached)."""
         cached = self._runs.get(name)
@@ -217,93 +256,35 @@ class SuiteRunner:
             return cached
         spec = SUITE[name]
         with telemetry.span("runner.run", benchmark=name):
+            program = spec.compile(self.config.scale)
             if self._cache is None:
-                program = spec.compile(self.config.scale)
-                trace = FastVM(program).run(max_steps=self.config.max_steps).trace
-                predictor = ProfilePredictor.from_trace(trace)
+                result = FastVM(program).run(max_steps=self.config.max_steps)
                 run = BenchmarkRun(
                     spec=spec,
                     analyzer=LimitAnalyzer(program),
-                    predictor=predictor,
-                    trace=trace,
+                    predictor=ProfilePredictor.from_run(result),
+                    trace=result.trace,
                 )
             else:
-                program, opener, predictor = self._materialize(spec)
+                # The trace stays in the cache, read through streaming
+                # readers, so a 100M-step budget costs no resident memory.
+                cache = self._cache
+                request = TraceRequest(name)
                 run = BenchmarkRun(
                     spec=spec,
                     analyzer=LimitAnalyzer(program),
-                    predictor=predictor,
-                    opener=opener,
+                    predictor=self._load(
+                        request, lambda keys: cache.load_profile(keys.trace)
+                    ),
+                    opener=lambda: self._load(
+                        request,
+                        lambda keys: cache.open_trace_reader(keys.trace, program),
+                    ),
                 )
             if self.config.verify:
                 self._verify(run)
         self._runs[name] = run
         return run
-
-    def _materialize(self, spec: BenchmarkSpec):
-        """Produce (or find) one benchmark's trace and profile in the cache.
-
-        The trace is produced by the specialized VM streaming straight
-        into the cache — it never materializes in this process — and is
-        consumed through streaming readers, so a 100M-step budget costs
-        the runner no resident memory.  A cached artifact that fails
-        integrity verification has already been quarantined by the cache;
-        it is transparently re-produced (and re-stored) here instead of
-        crashing the run.
-        """
-        scale = self._scale_for(spec)
-        trace_key = self._trace_key(spec.name)
-        program = spec.compile(scale)
-        cache = self._cache
-
-        def opener():
-            return cache.open_trace_reader(trace_key, program)
-
-        have_trace = False
-        if cache.has_trace(trace_key):
-            try:
-                cache.open_trace_reader(trace_key, program)
-                have_trace = True
-                self.farm_report.record(trace_key, "trace", spec.name, HIT)
-            except CorruptArtifactError as exc:
-                self.farm_report.record_failure(
-                    trace_key, "trace", spec.name, "corrupt", 1, str(exc),
-                    retried=True,
-                )
-        if not have_trace:
-            started = time.time()
-            with cache.store_trace_stream(trace_key, program) as writer:
-                FastVM(program).run(
-                    max_steps=self.config.max_steps, sink=writer
-                )
-            self.farm_report.record(
-                trace_key, "trace", spec.name, RUN, time.time() - started
-            )
-        profile_key = jobkeys.profile_key(trace_key)
-        predictor = None
-        if cache.has_profile(profile_key):
-            try:
-                predictor = cache.load_profile(profile_key)
-                self.farm_report.record(profile_key, "profile", spec.name, HIT)
-            except CorruptArtifactError as exc:
-                self.farm_report.record_failure(
-                    profile_key, "profile", spec.name, "corrupt", 1, str(exc),
-                    retried=True,
-                )
-        if predictor is None:
-            started = time.time()
-            predictor = ProfilePredictor.from_source(opener())
-            cache.store_profile(profile_key, predictor)
-            self.farm_report.record(
-                profile_key, "profile", spec.name, RUN, time.time() - started
-            )
-        return program, opener, predictor
-
-    def _trace_key(self, name: str) -> str:
-        spec = SUITE[name]
-        scale = self._scale_for(spec)
-        fingerprint = self._planner.fingerprint(name, scale)
-        return jobkeys.trace_key(fingerprint, scale, self.config.max_steps)
 
     def _verify(self, run: BenchmarkRun) -> None:
         """Cross-check the compiled program and its trace (RunConfig.verify)."""
@@ -341,19 +322,11 @@ class SuiteRunner:
         """Limit-analyze one benchmark's trace (cached per option set).
 
         A custom ``predictor`` bypasses the cache (ablations construct their
-        own predictors with internal state).
+        own predictors with internal state), and so does the legacy
+        engine: it exists as a differential oracle, and serving it a
+        cached fused result would skip the very code path the caller
+        asked to exercise.
         """
-        if predictor is not None:
-            run = self.run(name)
-            return run.analyzer.analyze(
-                run.trace_source(),
-                models=models,
-                predictor=predictor,
-                perfect_unrolling=perfect_unrolling,
-                perfect_inlining=perfect_inlining,
-                collect_misprediction_stats=collect_misprediction_stats,
-                engine=self.config.engine,
-            )
         key = (
             name,
             tuple(models),
@@ -362,55 +335,38 @@ class SuiteRunner:
             collect_misprediction_stats,
             self.config.engine,
         )
-        cached = self._results.get(key)
-        if cached is not None:
-            return cached
-        result_key = None
-        # The legacy engine exists as a differential oracle: serving it a
-        # persistently cached (fused-produced) result would skip the very
-        # code path the caller asked to exercise.
-        if self._cache is not None and self.config.engine == "fused":
-            result_key = jobkeys.result_key(
-                self._trace_key(name),
-                tuple(m.label for m in models),
-                perfect_unrolling,
-                perfect_inlining,
-                collect_misprediction_stats,
+        if predictor is None and key in self._results:
+            return self._results[key]
+        farmed = self._cache is not None and self.config.engine == "fused"
+        if predictor is None and farmed:
+            cache = self._cache
+            result = self._load(
+                AnalysisRequest(
+                    name,
+                    tuple(models),
+                    perfect_unrolling,
+                    perfect_inlining,
+                    collect_misprediction_stats,
+                ),
+                lambda keys: cache.load_result(keys.result),
             )
-            # A persistent hit needs neither the trace nor the program.
-            if self._cache.has_result(result_key):
-                try:
-                    cached = self._cache.load_result(result_key)
-                    self.farm_report.record(result_key, "analyze", name, HIT)
-                    self._results[key] = cached
-                    return cached
-                except CorruptArtifactError as exc:
-                    # Quarantined by the cache; fall through and re-analyze.
-                    self.farm_report.record_failure(
-                        result_key, "analyze", name, "corrupt", 1, str(exc),
-                        retried=True,
-                    )
-        run = self.run(name)
-        started = time.time()
-        with telemetry.span(
-            "runner.analyze", benchmark=name, engine=self.config.engine
-        ):
-            cached = run.analyzer.analyze(
-                run.trace_source(),
-                models=models,
-                predictor=run.predictor,
-                perfect_unrolling=perfect_unrolling,
-                perfect_inlining=perfect_inlining,
-                collect_misprediction_stats=collect_misprediction_stats,
-                engine=self.config.engine,
-            )
-        if result_key is not None:
-            self._cache.store_result(result_key, cached)
-            self.farm_report.record(
-                result_key, "analyze", name, RUN, time.time() - started
-            )
-        self._results[key] = cached
-        return cached
+        else:
+            run = self.run(name)
+            with telemetry.span(
+                "runner.analyze", benchmark=name, engine=self.config.engine
+            ):
+                result = run.analyzer.analyze(
+                    run.trace_source(),
+                    models=models,
+                    predictor=predictor if predictor is not None else run.predictor,
+                    perfect_unrolling=perfect_unrolling,
+                    perfect_inlining=perfect_inlining,
+                    collect_misprediction_stats=collect_misprediction_stats,
+                    engine=self.config.engine,
+                )
+        if predictor is None:
+            self._results[key] = result
+        return result
 
 
 @dataclass

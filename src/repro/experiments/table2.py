@@ -46,7 +46,8 @@ class Table2:
 
 
 def requirements(config) -> list:
-    """Farm requests: a trace (and profile) for every benchmark."""
+    """Farm requests: every benchmark's trace job, whose stored branch
+    profile holds the counts Table 2 is computed from."""
     from repro.jobs import TraceRequest
 
     return [TraceRequest(name) for name in SUITE]

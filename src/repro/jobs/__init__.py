@@ -2,7 +2,7 @@
 
 Turns ``repro-experiments`` from a one-shot serial script into an
 incremental farm: work is sharded at (benchmark × stage) granularity —
-compile, trace, profile, analysis — dispatched through a pluggable
+compile, trace, analysis — dispatched through a pluggable
 executor backend (in-process, or a local process pool), and every
 artifact is stored on disk under a content hash so re-running
 experiments only recomputes what changed.  See ``docs/jobs.md``.
@@ -25,7 +25,6 @@ from repro.jobs.engine import (
     Planner,
     RequestKeys,
     RunJournal,
-    run_requests,
 )
 from repro.jobs.faults import FaultClause, FaultPlan, FaultSpecError, InjectedFault
 from repro.jobs.report import (
@@ -67,5 +66,4 @@ __all__ = [
     "RetryPolicy",
     "RunJournal",
     "TraceRequest",
-    "run_requests",
 ]

@@ -5,7 +5,8 @@ Layout::
     <root>/
         asm/<key>.s             disassembled object code (compile stage)
         traces/<key>.rtrc.gz    RTRC binary traces (trace stage)
-        profiles/<key>.json     trained branch directions (profile stage)
+        profiles/<key>.json     branch counts, records and default of the
+                                trace with the same key (trace stage)
         results/<key>.json      serialized AnalysisResults (analysis stage)
         corrupt/                quarantined artifacts that failed verification
         journal/<digest>.jsonl  per-invocation retirement journals (resume)
@@ -57,15 +58,12 @@ from repro import telemetry
 from repro.core.results import AnalysisResult
 from repro.isa import Program
 from repro.prediction.profile import ProfilePredictor
-from repro.vm.trace import Trace
 from repro.vm.trace_io import (
     DEFAULT_CHUNK_RECORDS,
     CorruptArtifactError,
     TraceFormatError,
     TraceReader,
     TraceWriter,
-    load_trace,
-    save_trace,
 )
 
 #: Sidecar suffix appended to every artifact file name.
@@ -168,31 +166,6 @@ class ArtifactCache:
 
     # -- trace stage ---------------------------------------------------
 
-    def store_trace(self, key: str, trace: Trace) -> None:
-        path = self.trace_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = _tmp_sibling(path)
-        try:
-            # save_trace picks compression from the suffix; keep .gz on
-            # the temporary file so the final artifact really is gzipped.
-            save_trace(trace, tmp)
-            digest = _sha256_file(tmp)
-            _replace_published(tmp, path)
-        finally:
-            _discard(tmp)
-        self._write_checksum(path, digest)
-
-    def load_trace(self, key: str, program: Program) -> Trace:
-        path = self.trace_path(key)
-        self._verified_bytes(path, key)
-        try:
-            return load_trace(path, program)
-        except TraceFormatError as exc:
-            # Checksum-consistent but unparseable: the artifact was
-            # *stored* damaged (e.g. a fault-injected torn write that
-            # also rewrote the sidecar).  Quarantine it all the same.
-            raise self._quarantine(path, key, f"unreadable trace: {exc}") from exc
-
     @contextmanager
     def store_trace_stream(
         self,
@@ -205,9 +178,8 @@ class ArtifactCache:
         Yields a :class:`TraceWriter` bound to a temporary sibling; a VM
         run feeds it chunk by chunk (``FastVM(...).run(sink=writer)``),
         so the trace never materializes in the producer.  On clean exit
-        the finished file is checksummed and atomically published
-        exactly like :meth:`store_trace`; on error nothing is published
-        and the temp file is discarded.
+        the finished file is checksummed and atomically published; on
+        error nothing is published and the temp file is discarded.
         """
         path = self.trace_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -233,7 +205,7 @@ class ArtifactCache:
         Integrity is verified by hashing the file in fixed-size buffers —
         never holding the artifact in memory — and any parse failure,
         including one surfacing mid-stream from :meth:`TraceReader.chunks`,
-        quarantines the artifact exactly like :meth:`load_trace`.
+        quarantines the artifact.
         """
         path = self.trace_path(key)
         self._verified_file(path, key)
@@ -242,21 +214,22 @@ class ArtifactCache:
         except TraceFormatError as exc:
             raise self._quarantine(path, key, f"unreadable trace: {exc}") from exc
 
-    # -- profile stage -------------------------------------------------
+    # -- branch profile (written by the trace stage) --------------------
 
     def store_profile(self, key: str, predictor: ProfilePredictor) -> None:
         payload = {
-            "directions": {
-                str(pc): taken for pc, taken in predictor.direction_map().items()
-            },
+            "counts": {str(pc): pair for pc, pair in predictor.counts().items()},
+            "records": predictor.records,
             "default_taken": predictor.default_taken,
         }
         self._write_json(self.profile_path(key), payload)
 
     def load_profile(self, key: str) -> ProfilePredictor:
         payload = self._verified_json(self.profile_path(key), key)
-        directions = {int(pc): taken for pc, taken in payload["directions"].items()}
-        return ProfilePredictor(directions, default_taken=payload["default_taken"])
+        counts = {int(pc): pair for pc, pair in payload["counts"].items()}
+        return ProfilePredictor(
+            counts, payload["records"], default_taken=payload["default_taken"]
+        )
 
     # -- analysis stage ------------------------------------------------
 

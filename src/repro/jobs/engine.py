@@ -4,13 +4,14 @@ The planner expands a pooled list of experiment requests into a
 deduplicated :class:`JobGraph` sharded at (benchmark × stage)
 granularity::
 
-    compile ──> trace ──> profile ──> analysis (one per option set)
+    compile ──> trace ──> analysis (one per option set)
 
 The compile stage runs in the planner itself: it is three orders of
 magnitude cheaper than tracing, and its product — the program fingerprint
 that addresses every downstream artifact — is needed to build the graph
 at all.  On a warm cache the planner does not even compile: it hashes the
-cached disassembly listing instead.
+cached disassembly listing instead.  The trace stage also stores the
+run's branch profile under the trace's key, so there is no profile stage.
 
 The :class:`ExecutionEngine` then retires the graph.  Jobs whose artifact
 already exists in the cache are recorded as hits and skipped; the rest
@@ -59,7 +60,7 @@ from repro.jobs.cache import ArtifactCache
 from repro.jobs.faults import FaultPlan
 from repro.jobs.graph import Job, JobGraph
 from repro.jobs.report import DEAD, HIT, RESUMED, RUN, FarmReport
-from repro.jobs.requests import AnalysisRequest, Request, TraceRequest
+from repro.jobs.requests import AnalysisRequest, Request
 from repro.jobs.retry import JobTimeout, RetryPolicy
 from repro.vm.trace_io import CorruptArtifactError
 
@@ -69,7 +70,6 @@ __all__ = [
     "RunJournal",
     "RequestKeys",
     "Planner",
-    "run_requests",
     "ExecutionEngine",
 ]
 
@@ -152,11 +152,10 @@ class RequestKeys:
 
     compile: str
     trace: str
-    profile: str
     result: str | None = None
 
     def all(self) -> tuple[str, ...]:
-        keys_ = (self.compile, self.trace, self.profile, self.result)
+        keys_ = (self.compile, self.trace, self.result)
         return tuple(k for k in keys_ if k is not None)
 
 
@@ -254,7 +253,6 @@ class Planner:
         trace_key = keys.trace_key(
             self.fingerprint(request.benchmark, scale), scale, max_steps
         )
-        profile_key = keys.profile_key(trace_key)
         result_key = None
         if isinstance(request, AnalysisRequest):
             result_key = keys.result_key(
@@ -264,7 +262,7 @@ class Planner:
                 request.perfect_inlining,
                 request.collect_misprediction_stats,
             )
-        return RequestKeys(compile_key, trace_key, profile_key, result_key)
+        return RequestKeys(compile_key, trace_key, result_key)
 
     def plan(
         self,
@@ -278,7 +276,7 @@ class Planner:
             scale, max_steps = self._resolve(
                 request, default_scale, default_max_steps
             )
-            trace_key, profile_key = self._add_trace_jobs(
+            trace_key = self._add_trace_job(
                 graph, request.benchmark, scale, max_steps, telemetry_dir, profile
             )
             if isinstance(request, AnalysisRequest):
@@ -295,14 +293,13 @@ class Planner:
                         key=result_key,
                         stage="analyze",
                         benchmark=request.benchmark,
-                        deps=(trace_key, profile_key),
+                        deps=(trace_key,),
                         payload={
                             "stage": "analyze",
                             "key": result_key,
                             "benchmark": request.benchmark,
                             "scale": scale,
                             "trace": trace_key,
-                            "profile": profile_key,
                             "models": list(labels),
                             "perfect_unrolling": request.perfect_unrolling,
                             "perfect_inlining": request.perfect_inlining,
@@ -315,7 +312,7 @@ class Planner:
                 )
         return graph
 
-    def _add_trace_jobs(
+    def _add_trace_job(
         self,
         graph: JobGraph,
         benchmark: str,
@@ -323,10 +320,9 @@ class Planner:
         max_steps: int,
         telemetry_dir: str | None = None,
         profile: bool = False,
-    ) -> tuple[str, str]:
+    ) -> str:
         fingerprint = self.fingerprint(benchmark, scale)
         trace_key = keys.trace_key(fingerprint, scale, max_steps)
-        profile_key = keys.profile_key(trace_key)
         graph.add(
             Job(
                 key=trace_key,
@@ -344,59 +340,7 @@ class Planner:
                 },
             )
         )
-        graph.add(
-            Job(
-                key=profile_key,
-                stage="profile",
-                benchmark=benchmark,
-                deps=(trace_key,),
-                payload={
-                    "stage": "profile",
-                    "key": profile_key,
-                    "benchmark": benchmark,
-                    "scale": scale,
-                    "trace": trace_key,
-                    "cache_dir": str(self.cache.root),
-                    "telemetry": telemetry_dir,
-                    "profiling": profile,
-                },
-            )
-        )
-        return trace_key, profile_key
-
-
-def run_requests(
-    cache: ArtifactCache,
-    requests: Iterable[Request],
-    *,
-    max_steps: int = 150_000,
-    default_scale: int | None = None,
-    jobs: int = 1,
-    retry: RetryPolicy | None = None,
-    faults: str | FaultPlan | None = None,
-    resume: bool = False,
-    report: FarmReport | None = None,
-) -> FarmReport:
-    """Plan *requests* into a job graph, retire it, and return the report.
-
-    The library entry point onto the farm: everything the
-    ``repro-experiments`` CLI does to produce artifacts — planning,
-    deduplication, cache hits, retries — behind one call, with no table
-    rendering attached.
-
-    All artifacts land in *cache*; use
-    :meth:`Planner.request_keys` to locate them afterwards.  Passing an
-    existing *report* accumulates across calls instead of starting fresh.
-    """
-    if report is None:
-        report = FarmReport()
-    planner = Planner(cache, report)
-    graph = planner.plan(requests, default_scale, max_steps)
-    engine = ExecutionEngine(
-        cache, jobs=jobs, retry=retry, faults=faults, resume=resume
-    )
-    engine.execute(graph, report)
-    return report
+        return trace_key
 
 
 class _RunState:
@@ -514,9 +458,8 @@ class ExecutionEngine:
 
     def _cached(self, job: Job) -> bool:
         if job.stage == "trace":
-            return self.cache.has_trace(job.key)
-        if job.stage == "profile":
-            return self.cache.has_profile(job.key)
+            # The trace job publishes the trace, then its profile.
+            return self.cache.has_trace(job.key) and self.cache.has_profile(job.key)
         return self.cache.has_result(job.key)
 
     # -- payloads -------------------------------------------------------

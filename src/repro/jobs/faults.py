@@ -26,7 +26,7 @@ Fields:
     half its bytes (exercises checksum quarantine)
     ``garbage``  — overwrite the stored artifact with garbage bytes
 ``stage``
-    Only fault this pipeline stage (``trace``/``profile``/``analyze``);
+    Only fault this pipeline stage (``trace``/``analyze``);
     default: every stage.
 ``rate``
     Fraction of job keys the clause selects, decided deterministically

@@ -16,7 +16,7 @@ class Job:
     """One schedulable unit of work, addressed by its artifact key."""
 
     key: str
-    stage: str  # "trace" | "profile" | "analyze"
+    stage: str  # "trace" | "analyze"
     benchmark: str
     payload: dict
     deps: tuple[str, ...] = ()

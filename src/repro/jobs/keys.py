@@ -1,8 +1,8 @@
 """Content-addressed cache keys for experiment artifacts.
 
-Every artifact the farm produces — a compiled listing, a trace, a branch
-profile, an analysis result — is stored under a key that is a SHA-256
-digest of *everything that determines its content*:
+Every artifact the farm produces — a compiled listing, a trace (with
+its branch profile), an analysis result — is stored under a key that
+is a SHA-256 digest of *everything that determines its content*:
 
 * the artifact kind and the cache schema version (:data:`SCHEMA`);
 * the package version (``repro.__version__``), so upgrades never serve
@@ -36,8 +36,10 @@ from repro.vm.trace_io import VERSION as RTRC_VERSION
 #: Schema 4: traces are compressed at ``trace_io.GZIP_LEVEL`` instead of
 #: level 9, so the same inputs now store different trace bytes; racing
 #: producers must store identical bytes under one content address, so
-#: old-level traces get new keys rather than sharing them.
-SCHEMA = 4
+#: old-level traces get new keys rather than sharing them.  Schema 5:
+#: the trace stage writes the branch profile under the trace's key, as
+#: ``{counts, records, default_taken}`` instead of directions alone.
+SCHEMA = 5
 
 
 def _digest(material: dict) -> str:
@@ -75,19 +77,6 @@ def trace_key(program_fingerprint: str, scale: int, max_steps: int) -> str:
             "program": program_fingerprint,
             "scale": scale,
             "max_steps": max_steps,
-        }
-    )
-
-
-def profile_key(trace: str) -> str:
-    """Key of the profile stage: branch directions trained on one trace."""
-    return _digest(
-        {
-            "kind": "profile",
-            "schema": SCHEMA,
-            "repro": __version__,
-            "trace": trace,
-            "predictor": "profile",
         }
     )
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro import telemetry
 
 #: Stage names in pipeline order (used only for display sorting).
-STAGES = ("compile", "trace", "profile", "analyze")
+STAGES = ("compile", "trace", "analyze")
 
 RUN = "run"
 HIT = "hit"
@@ -44,7 +44,6 @@ class JobRecord:
     benchmark: str
     status: str  # RUN, HIT, RESUMED, or DEAD
     seconds: float = 0.0
-    worker: str = ""
     #: Monotonic timestamp of when the outcome was recorded; with
     #: ``seconds`` this bounds the job's wall-clock window.
     recorded_at: float = 0.0
@@ -79,13 +78,12 @@ class FarmReport:
         benchmark: str,
         status: str,
         seconds: float = 0.0,
-        worker: str = "",
     ) -> None:
         """Record a job outcome (first sighting of a key wins)."""
         if key in self.records:
             return
         self.records[key] = JobRecord(
-            key, stage, benchmark, status, seconds, worker, time.perf_counter()
+            key, stage, benchmark, status, seconds, time.perf_counter()
         )
         if telemetry.enabled():
             if status in (HIT, RESUMED):

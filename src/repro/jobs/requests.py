@@ -4,7 +4,7 @@ Each experiment module exposes ``requirements(config)`` returning a list
 of these requests; the CLI pools the requests of every selected
 experiment and hands them to the engine, which expands them into a
 deduplicated :class:`~repro.jobs.engine.JobGraph` of compile → trace →
-profile → analysis jobs.
+analysis jobs (the trace job also stores the run's branch profile).
 
 Fields left at ``None`` inherit from the session's
 :class:`~repro.experiments.runner.RunConfig` (workload scale, trace
@@ -26,7 +26,8 @@ from repro.core.models import ALL_MODELS, MachineModel
 
 @dataclass(frozen=True)
 class TraceRequest:
-    """Request the trace (and branch profile) of one benchmark."""
+    """Request the trace of one benchmark and the branch profile its
+    run counted (which alone gives the benchmark's Table 2 row)."""
 
     benchmark: str
     max_steps: int | None = None  # None: RunConfig.max_steps
@@ -36,7 +37,7 @@ class TraceRequest:
 class AnalysisRequest:
     """Request one benchmark analyzed under one analyzer option set.
 
-    Implies the benchmark's trace and profile.  ``models`` is ``None``
+    Implies the benchmark's trace.  ``models`` is ``None``
     for the full model set (the default of ``SuiteRunner.analyze``).
     """
 

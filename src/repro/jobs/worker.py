@@ -69,8 +69,6 @@ def execute_job(payload: dict) -> dict:
             job_span.link(trace_ctx.trace_id, trace_ctx.parent_id)
         if stage == "trace":
             _trace_job(payload)
-        elif stage == "profile":
-            _profile_job(payload)
         elif stage == "analyze":
             _analysis_job(payload)
         else:
@@ -89,11 +87,7 @@ def execute_job(payload: dict) -> dict:
 def _artifact_path(payload: dict):
     """On-disk location of the artifact this job's stage produces."""
     cache = ArtifactCache(payload["cache_dir"])
-    lookup = {
-        "trace": cache.trace_path,
-        "profile": cache.profile_path,
-        "analyze": cache.result_path,
-    }
+    lookup = {"trace": cache.trace_path, "analyze": cache.result_path}
     return lookup[payload["stage"]](payload["key"])
 
 
@@ -104,23 +98,20 @@ def _program(payload: dict):
 def _trace_job(payload: dict) -> None:
     # Specialized VM, streamed straight into the cache: the trace never
     # materializes in worker memory, so the budget is disk-bound only.
+    # The run's own branch counts are the profile, so no pass over the
+    # stored trace is needed to train it.
     cache = ArtifactCache(payload["cache_dir"])
     program = _program(payload)
     with cache.store_trace_stream(payload["key"], program) as writer:
-        FastVM(program).run(max_steps=payload["max_steps"], sink=writer)
-
-
-def _profile_job(payload: dict) -> None:
-    cache = ArtifactCache(payload["cache_dir"])
-    reader = cache.open_trace_reader(payload["trace"], _program(payload))
-    cache.store_profile(payload["key"], ProfilePredictor.from_source(reader))
+        result = FastVM(program).run(max_steps=payload["max_steps"], sink=writer)
+    cache.store_profile(payload["key"], ProfilePredictor.from_run(result))
 
 
 def _analysis_job(payload: dict) -> None:
     cache = ArtifactCache(payload["cache_dir"])
     program = _program(payload)
     reader = cache.open_trace_reader(payload["trace"], program)
-    predictor = cache.load_profile(payload["profile"])
+    predictor = cache.load_profile(payload["trace"])
     result = LimitAnalyzer(program).analyze(
         reader,
         models=[MachineModel(label) for label in payload["models"]],

@@ -1,12 +1,12 @@
-"""Trace serialization (RTRC, versions 1 and 2).
+"""Trace serialization (RTRC version 2).
 
 The original study materialized pixie traces as files and post-processed
 them; this module provides the equivalent: a compact binary format so
 traces can be captured once and re-analyzed many times (or shipped between
 machines).  Paths ending in ``.gz`` are transparently compressed.
 
-Version 2 (the write format) is *chunked* so producers and consumers never
-hold a whole trace in memory::
+The format is *chunked* so producers and consumers never hold a whole
+trace in memory::
 
     magic   4 bytes  b"RTRC"
     version u32      currently 2
@@ -28,10 +28,8 @@ back to patch a header, and a producer does not know the record count
 until the run finishes.  A file that ends without the marker was written
 by a producer that died mid-store and reads as corrupt.
 
-Version 1 — a single header followed by three whole-file columns — is
-still readable everywhere a v2 file is; its compatibility path
-materializes the columns (it cannot be memory-bounded) and then serves
-them as chunk views.
+Version 1 (three whole-file columns) is no longer read: cache keys
+carry the format version, so no cache can hold a v1 file.
 
 :class:`TraceWriter` and :class:`TraceReader` are the streaming APIs;
 :func:`save_trace` / :func:`load_trace` remain the whole-trace
@@ -58,9 +56,6 @@ from repro.vm.trace import NO_ADDR, Trace
 
 MAGIC = b"RTRC"
 VERSION = 2
-
-#: Versions :func:`load_trace` / :class:`TraceReader` accept.
-READABLE_VERSIONS = (1, 2)
 
 #: Default records per v2 frame: 64Ki records is ~832 KiB of column data,
 #: small enough that a streaming producer/consumer pair stays bounded at
@@ -417,7 +412,7 @@ class TraceWriter:
 
 
 class TraceReader:
-    """Re-iterable streaming reader for RTRC files (v1 and v2).
+    """Re-iterable streaming reader for RTRC files.
 
     Construction parses and validates the header (magic, version, program
     name) so mismatches fail fast; each :meth:`chunks` call then re-opens
@@ -426,38 +421,25 @@ class TraceReader:
     analysis needs (predictor training, then the fused sweep) without
     ever materializing the columns.
 
-    v2 files are read with bounded memory (one frame at a time).  The v1
-    compatibility path must materialize the columns once per pass — the
-    v1 layout stores each column as one whole-file run, which cannot be
-    streamed in record order.
+    Files are read with bounded memory (one frame at a time).
     """
 
     def __init__(self, path: str | Path, program: Program):
         self.path = str(path)
         self.program = program
-        #: Record count; known up front for v1, set after a full
-        #: :meth:`chunks` pass (or footer read) for v2.
+        #: Record count, set after a full :meth:`chunks` pass.
         self.total: int | None = None
         with _open(self.path, "rb") as stream:
-            self.version, self._v1_count, self._name_length = (
-                self._read_header(stream)
-            )
+            self._read_header(stream)
 
-    def _read_header(self, stream) -> tuple[int, int, int]:
+    def _read_header(self, stream) -> None:
         magic = _read(stream, 4)
         if magic != MAGIC:
             raise TraceFormatError(f"bad magic {magic!r}; not a trace file")
         (version,) = struct.unpack("<I", _read_exact(stream, 4))
-        if version not in READABLE_VERSIONS:
+        if version != VERSION:
             raise TraceFormatError(f"unsupported trace version {version}")
-        if version == 1:
-            count, name_length = struct.unpack("<QH", _read_exact(stream, 10))
-            self.total = count
-        else:
-            self.chunk_size, name_length = struct.unpack(
-                "<IH", _read_exact(stream, 6)
-            )
-            count = 0
+        self.chunk_size, name_length = struct.unpack("<IH", _read_exact(stream, 6))
         try:
             name = _read_exact(stream, name_length).decode("utf-8")
         except UnicodeDecodeError:
@@ -469,41 +451,14 @@ class TraceReader:
                 f"trace was recorded for program {name!r}, "
                 f"got {self.program.name!r}"
             )
-        return version, count, name_length
 
     def chunks(self) -> Iterator[TraceChunk]:
         """Stream the trace as validated :class:`TraceChunk` frames."""
         with _open(self.path, "rb") as stream:
             self._read_header(stream)  # skip (already validated)
-            if self.version == 1:
-                yield from self._v1_chunks(stream)
-            else:
-                yield from self._v2_chunks(stream)
+            yield from self._frames(stream)
 
-    def _v1_chunks(self, stream) -> Iterator[TraceChunk]:
-        count = self._v1_count
-        pcs = memoryview(_read_exact(stream, 4 * count))
-        addrs = memoryview(_read_exact(stream, 8 * count))
-        takens = memoryview(_read_exact(stream, count))
-        self._check_trailer(stream)
-        if telemetry.enabled():
-            telemetry.METRICS.counter("repro_trace_bytes_read_total").inc(
-                _payload_bytes(count, self._name_length)
-            )
-            telemetry.METRICS.counter("repro_trace_chunks_read_total").inc()
-        n_code = len(self.program)
-        size = DEFAULT_CHUNK_RECORDS
-        for start in range(0, count, size):
-            end = min(start + size, count)
-            yield _decode_frame(
-                pcs[4 * start : 4 * end],
-                addrs[8 * start : 8 * end],
-                takens[start:end],
-                n_code,
-                start,
-            )
-
-    def _v2_chunks(self, stream) -> Iterator[TraceChunk]:
+    def _frames(self, stream) -> Iterator[TraceChunk]:
         n_code = len(self.program)
         tele = telemetry.enabled()
         streamed = 0
@@ -559,7 +514,7 @@ class TraceReader:
     def to_trace(self) -> Trace:
         """Materialize the whole file as an in-memory :class:`Trace`.
 
-        The convenience (and v1-equivalent) path: memory is O(trace), so
+        The convenience path: memory is O(trace), so
         prefer :meth:`chunks` at large budgets.
         """
         pcs = array("q")
@@ -604,7 +559,7 @@ def save_trace(
     path: str | Path,
     chunk_size: int = DEFAULT_CHUNK_RECORDS,
 ) -> None:
-    """Write *trace* to *path* in the (v2) binary trace format.
+    """Write *trace* to *path* in the binary trace format.
 
     Out-of-range columns — a pc that does not fit u32, a taken outside
     {-1, 0, 1}, an addr below ``NO_ADDR`` — raise
@@ -626,7 +581,7 @@ def save_trace(
 
 
 def load_trace(path: str | Path, program: Program) -> Trace:
-    """Read a trace (v1 or v2) from *path*, attaching it to *program*.
+    """Read a trace from *path*, attaching it to *program*.
 
     The program is identified by name only (the format does not embed
     code); a pc outside the program's code range, a taken outside

@@ -237,6 +237,17 @@ class TestRobustnessFlags:
         )
         assert capsys.readouterr().out == clean
 
+    def test_dead_job_fails_its_experiment_by_name(self, capsys, tmp_path):
+        args = [
+            "table2", "--max-steps", "4000", "--retries", "0",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--inject-faults", "stage=trace,mode=raise,times=0",
+        ]
+        assert main(args) == 1
+        assert "table2: trace job for awk is dead: injected fault" in (
+            capsys.readouterr().err
+        )
+
     def test_resume_prints_skipped_summary(self, capsys, tmp_path):
         args = [
             "table1", "--max-steps", "4000",

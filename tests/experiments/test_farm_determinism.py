@@ -97,5 +97,71 @@ class TestWarmCache:
             ["table3", "--max-steps", MAX_STEPS, "--cache-dir", cache_dir],
         )
         for line in err.splitlines():
-            if line.startswith(("[farm] compile:", "[farm] trace:", "[farm] profile:")):
+            if line.startswith(("[farm] compile:", "[farm] trace:")):
                 assert ", 0 executed" in line
+
+
+class TestOneDecodePass:
+    """The trace job stores the profile and Table 2 is read off its counts,
+    so the analysis is the only pass over a stored trace."""
+
+    ARGS = ["table2", "table3", "--max-steps", "20000", "--quiet"]
+
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        """Count TraceReader.chunks passes per trace file."""
+        from collections import Counter
+
+        from repro.vm import TraceReader
+
+        counts = Counter()
+        chunks = TraceReader.chunks
+
+        def counted(self):
+            counts[self.path] += 1
+            return chunks(self)
+
+        monkeypatch.setattr(TraceReader, "chunks", counted)
+        return counts
+
+    def test_cold_cache_decodes_each_trace_once_and_warm_never(
+        self, capsys, tmp_path, passes
+    ):
+        args = self.ARGS + ["--cache-dir", str(tmp_path / "c")]
+        cold, _ = run_cli(capsys, args)
+        traces = list((tmp_path / "c" / "traces").glob("*.rtrc.gz"))
+        assert len(traces) == 10
+        assert sorted(passes.values()) == [1] * len(traces)
+        assert set(passes) == {str(path) for path in traces}
+        passes.clear()
+        warm, _ = run_cli(capsys, args)
+        assert warm == cold
+        assert sum(passes.values()) == 0
+
+    def test_garbled_profile_heals_with_identical_output(self, capsys, tmp_path):
+        import shutil
+
+        cache = tmp_path / "c"
+        args = self.ARGS + ["--cache-dir", str(cache)]
+        clean, _ = run_cli(capsys, args)
+        profile = sorted((cache / "profiles").glob("*.json"))[0]
+        profile.write_bytes(b"\x00garbled\xff")
+        shutil.rmtree(cache / "results")
+        healed, _ = run_cli(capsys, args)
+        assert healed == clean
+        assert (cache / "corrupt" / profile.name).is_file()
+        assert profile.is_file()  # re-produced by its trace job
+
+    def test_garbled_profile_heals_when_the_runner_loads_it(
+        self, capsys, tmp_path
+    ):
+        cache = tmp_path / "c"
+        args = ["table2", "--max-steps", "20000", "--cache-dir", str(cache)]
+        clean, _ = run_cli(capsys, args)
+        profile = sorted((cache / "profiles").glob("*.json"))[0]
+        profile.write_bytes(b"\x00garbled\xff")
+        healed, err = run_cli(capsys, args)
+        assert healed == clean
+        assert (cache / "corrupt" / profile.name).is_file()
+        assert "corrupt" in err
+        assert "1 executed" in err  # only the damaged profile's trace job

@@ -40,21 +40,18 @@ def plan(cache, report, requests=REQUESTS):
 
 def artifact_bytes(cache, report):
     """Verified bytes and sha256 of every artifact the report's jobs produced."""
-    stage_path = {
-        "trace": cache.trace_path,
-        "profile": cache.profile_path,
-        "analyze": cache.result_path,
+    stage_paths = {
+        "trace": (cache.trace_path, cache.profile_path),
+        "analyze": (cache.result_path,),
     }
     out = {}
     for record in report.records.values():
-        path_of = stage_path.get(record.stage)
-        if path_of is None:
-            continue
-        path = path_of(record.key)
-        data = path.read_bytes()
-        sidecar = cache.checksum_path(path).read_text().strip()
-        assert sidecar == hashlib.sha256(data).hexdigest(), path
-        out[(record.stage, record.key)] = (data, sidecar)
+        for path_of in stage_paths.get(record.stage, ()):
+            path = path_of(record.key)
+            data = path.read_bytes()
+            sidecar = cache.checksum_path(path).read_text().strip()
+            assert sidecar == hashlib.sha256(data).hexdigest(), path
+            out[(path.parent.name, record.key)] = (data, sidecar)
     return out
 
 

@@ -32,28 +32,34 @@ def cache(tmp_path):
     return ArtifactCache(tmp_path / "store")
 
 
+def store_trace(cache, key, program, trace):
+    """Stream an in-memory trace into the cache, as a producer would."""
+    with cache.store_trace_stream(key, program) as writer:
+        writer.write(trace.pcs, trace.addrs, trace.takens)
+
+
 class TestTraceArtifacts:
     def test_roundtrip(self, cache, traced):
         program, trace = traced
         assert not cache.has_trace("k1")
-        cache.store_trace("k1", trace)
+        store_trace(cache, "k1", program, trace)
         assert cache.has_trace("k1")
-        loaded = cache.load_trace("k1", program)
+        loaded = cache.open_trace_reader("k1", program).to_trace()
         assert loaded.pcs == trace.pcs
         assert loaded.addrs == trace.addrs
         assert loaded.takens == trace.takens
 
     def test_stored_compressed(self, cache, traced):
-        _, trace = traced
-        cache.store_trace("k1", trace)
+        program, trace = traced
+        store_trace(cache, "k1", program, trace)
         import gzip
 
         with gzip.open(cache.trace_path("k1")) as stream:
             assert stream.read(4) == b"RTRC"
 
     def test_no_partial_artifacts(self, cache, traced):
-        _, trace = traced
-        cache.store_trace("k1", trace)
+        program, trace = traced
+        store_trace(cache, "k1", program, trace)
         files = sorted(cache.trace_path("k1").parent.iterdir())
         # Artifact plus its checksum sidecar; no stray temp files.
         assert files == sorted(
@@ -69,6 +75,9 @@ class TestProfileArtifacts:
         loaded = cache.load_profile("p1")
         assert loaded.direction_map() == predictor.direction_map()
         assert loaded.default_taken == predictor.default_taken
+        assert loaded.counts() == predictor.counts()
+        assert loaded.records == predictor.records == len(trace)
+        assert loaded.stats() == predictor.stats()
 
     def test_loaded_profile_predicts_identically(self, cache, traced):
         _, trace = traced

@@ -61,8 +61,8 @@ class TestConcurrentEngines:
         # Both engines retired every job (as a run or a hit)...
         for report in reports:
             assert report.dead == 0
-            # 2 benchmarks x (compile + trace/profile/analyze)
-            assert report.total == 8
+            # 2 benchmarks x (compile + trace + analyze)
+            assert report.total == 6
 
         # ...and every artifact is complete and checksum-clean: loading
         # re-verifies the sidecar, so a torn write would raise here.
@@ -70,8 +70,8 @@ class TestConcurrentEngines:
         for request in requests:
             keys = planner.request_keys(request, None, MAX_STEPS)
             program = SUITE[request.benchmark].compile()
-            assert cache.load_trace(keys.trace, program) is not None
-            assert cache.load_profile(keys.profile) is not None
+            assert cache.open_trace_reader(keys.trace, program).to_trace() is not None
+            assert cache.load_profile(keys.trace) is not None
             assert cache.load_result(keys.result) is not None
 
     def test_racing_writers_leave_identical_bytes(self, cache):

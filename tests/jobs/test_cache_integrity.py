@@ -37,11 +37,17 @@ def cache(tmp_path):
     return ArtifactCache(tmp_path / "store")
 
 
+def store_trace(cache, key, program, trace):
+    """Stream an in-memory trace into the cache, as a producer would."""
+    with cache.store_trace_stream(key, program) as writer:
+        writer.write(trace.pcs, trace.addrs, trace.takens)
+
+
 class TestSidecars:
     def test_every_store_writes_a_checksum(self, cache, traced):
-        _, trace = traced
+        program, trace = traced
         cache.store_asm("a", "  halt\n")
-        cache.store_trace("t", trace)
+        store_trace(cache, "t", program, trace)
         cache.store_profile("p", ProfilePredictor.from_trace(trace))
         for path in (cache.asm_path("a"), cache.trace_path("t"),
                      cache.profile_path("p")):
@@ -78,11 +84,11 @@ class TestQuarantine:
 
     def test_truncated_trace_quarantined(self, cache, traced):
         program, trace = traced
-        cache.store_trace("t", trace)
+        store_trace(cache, "t", program, trace)
         path = cache.trace_path("t")
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(CorruptArtifactError):
-            cache.load_trace("t", program)
+            cache.open_trace_reader("t", program).to_trace()
         assert not path.is_file()
 
     def test_garbage_json_profile_quarantined(self, cache, traced):
@@ -109,13 +115,13 @@ class TestQuarantine:
 
     def test_reproduced_after_quarantine(self, cache, traced):
         program, trace = traced
-        cache.store_trace("t", trace)
+        store_trace(cache, "t", program, trace)
         cache.trace_path("t").write_bytes(b"junk")
         with pytest.raises(CorruptArtifactError):
-            cache.load_trace("t", program)
+            cache.open_trace_reader("t", program).to_trace()
         assert not cache.has_trace("t")  # engine will re-produce it
-        cache.store_trace("t", trace)
-        loaded = cache.load_trace("t", program)
+        store_trace(cache, "t", program, trace)
+        loaded = cache.open_trace_reader("t", program).to_trace()
         assert loaded.pcs == trace.pcs
 
 
@@ -148,8 +154,8 @@ class TestTornWrites:
         )
 
     def test_missing_sidecar_means_reproduce_not_crash(self, cache, traced):
-        _, trace = traced
-        cache.store_trace("t", trace)
+        program, trace = traced
+        store_trace(cache, "t", program, trace)
         cache.checksum_path(cache.trace_path("t")).unlink()
         assert not cache.has_trace("t")
 

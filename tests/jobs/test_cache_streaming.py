@@ -11,7 +11,7 @@ import pytest
 
 from repro.jobs import ArtifactCache
 from repro.lang import compile_source
-from repro.vm import VM, CorruptArtifactError, FastVM
+from repro.vm import VM, CorruptArtifactError, FastVM, load_trace, save_trace
 
 SOURCE = """
 int main() {
@@ -41,21 +41,19 @@ class TestStoreTraceStream:
             FastVM(program).run(max_steps=5_000, sink=writer)
         assert cache.has_trace("k1")
         trace = VM(program).run(max_steps=5_000).trace
-        loaded = cache.load_trace("k1", program)
+        loaded = cache.open_trace_reader("k1", program).to_trace()
         assert loaded.pcs == trace.pcs
         assert loaded.addrs == trace.addrs
         assert loaded.takens == trace.takens
 
-    def test_bytes_match_whole_trace_store(self, cache, program):
-        # Streamed store and materialize-then-store publish identical
-        # bytes under different keys — the racing-producer invariant.
+    def test_bytes_match_whole_trace_store(self, cache, program, tmp_path):
+        # Streamed store and materialize-then-save write identical
+        # bytes — the racing-producer invariant.
         with cache.store_trace_stream("streamed", program) as writer:
             FastVM(program).run(max_steps=5_000, sink=writer)
-        cache.store_trace("whole", VM(program).run(max_steps=5_000).trace)
-        assert (
-            cache.trace_path("streamed").read_bytes()
-            == cache.trace_path("whole").read_bytes()
-        )
+        whole = tmp_path / "whole.rtrc.gz"
+        save_trace(VM(program).run(max_steps=5_000).trace, whole)
+        assert cache.trace_path("streamed").read_bytes() == whole.read_bytes()
 
     def test_checksum_sidecar_written(self, cache, program):
         with cache.store_trace_stream("k1", program) as writer:
@@ -128,7 +126,7 @@ class TestOpenTraceReader:
         with cache.store_trace_stream("k1", program) as writer:
             FastVM(program).run(max_steps=2_000, sink=writer)
         via_reader = cache.open_trace_reader("k1", program).to_trace()
-        via_load = cache.load_trace("k1", program)
+        via_load = load_trace(cache.trace_path("k1"), program)
         assert via_reader.pcs == via_load.pcs
         assert via_reader.addrs == via_load.addrs
         assert via_reader.takens == via_load.takens

@@ -27,21 +27,21 @@ def plan(cache, report, requests, max_steps=MAX_STEPS):
 
 class TestPlanner:
     def test_trace_request_expands_to_trace_and_profile(self, cache):
+        """One trace job, which stores the trace and its branch profile."""
         report = FarmReport()
         graph = plan(cache, report, [TraceRequest("awk")])
-        stages = sorted(job.stage for job in graph)
-        assert stages == ["profile", "trace"]
+        (job,) = graph
+        assert job.stage == "trace"
         # The compile stage ran inside the planner and was recorded.
         assert report.total == 1
         assert next(iter(report.records.values())).stage == "compile"
+        ExecutionEngine(cache, jobs=1).execute(graph, report)
+        assert cache.has_trace(job.key)
+        assert cache.has_profile(job.key)
 
     def test_analysis_request_implies_trace_and_profile(self, cache):
         graph = plan(cache, FarmReport(), [AnalysisRequest("awk")])
-        assert sorted(job.stage for job in graph) == [
-            "analyze",
-            "profile",
-            "trace",
-        ]
+        assert sorted(job.stage for job in graph) == ["analyze", "trace"]
 
     def test_requests_deduplicate(self, cache):
         requests = [
@@ -54,18 +54,17 @@ class TestPlanner:
         assert sorted(job.stage for job in graph) == [
             "analyze",
             "analyze",
-            "profile",
             "trace",
         ]
 
     def test_analysis_depends_on_trace_and_profile(self, cache):
+        """The profile is stored under the trace's key by the trace job,
+        so that job is the analysis's only dependency."""
         graph = plan(cache, FarmReport(), [AnalysisRequest("awk")])
         jobs = {job.stage: job for job in graph}
-        assert jobs["profile"].deps == (jobs["trace"].key,)
-        assert set(jobs["analyze"].deps) == {
-            jobs["trace"].key,
-            jobs["profile"].key,
-        }
+        assert jobs["analyze"].deps == (jobs["trace"].key,)
+        assert jobs["analyze"].payload["trace"] == jobs["trace"].key
+        assert "profile" not in jobs["analyze"].payload
 
     def test_max_steps_override_forks_the_trace(self, cache):
         graph = plan(
@@ -93,12 +92,22 @@ class TestSerialExecution:
         for job in graph:
             if job.stage == "trace":
                 assert cache.has_trace(job.key)
-            elif job.stage == "profile":
                 assert cache.has_profile(job.key)
             else:
                 assert cache.has_result(job.key)
-        assert report.executed == 4  # compile + trace + profile + analyze
+        assert report.executed == 3  # compile + trace + analyze
         assert report.hits == 0
+
+    def test_trace_without_its_profile_is_not_cached(self, cache):
+        report = FarmReport()
+        graph = plan(cache, report, [TraceRequest("awk")])
+        ExecutionEngine(cache, jobs=1).execute(graph, report)
+        (job,) = graph
+        cache.profile_path(job.key).unlink()
+        rerun = FarmReport()
+        ExecutionEngine(cache, jobs=1).execute(graph, rerun)
+        assert rerun.executed_in("trace") == 1
+        assert cache.has_profile(job.key)
 
     def test_second_execution_all_hits(self, cache):
         requests = [AnalysisRequest("awk", models=(M.BASE,))]

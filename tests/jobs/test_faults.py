@@ -75,7 +75,7 @@ class TestClauseMatching:
     def test_stage_gating(self):
         clause = FaultClause(mode="raise", stage="trace")
         assert clause.matches("trace", "k", 1)
-        assert not clause.matches("profile", "k", 1)
+        assert not clause.matches("analyze", "k", 1)
 
     def test_times_limits_attempts(self):
         clause = FaultClause(mode="raise", times=2)
@@ -134,8 +134,8 @@ class TestEngineRecovery:
             cache, jobs=1, retry=FAST, faults="stage=trace,mode=raise,times=0"
         )
         engine.execute(graph, report)
-        # trace dead + profile and analyze dead by dependency.
-        assert report.dead == 3
+        # trace dead + analyze dead by dependency.
+        assert report.dead == 2
         kinds = {f.kind for f in report.failures}
         assert "dependency" in kinds
         gave_up = [f for f in report.failures if not f.retried]

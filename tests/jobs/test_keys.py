@@ -16,8 +16,10 @@ class TestKeyStability:
 
     def test_kinds_never_collide(self):
         # The same material under different kinds must map to different
-        # addresses (a trace can never shadow a profile, etc.).
-        assert keys.trace_key("x", 1, 1) != keys.profile_key("x")
+        # addresses (a trace can never shadow a result, etc.).
+        assert keys.trace_key("x", 1, 1) != keys.result_key(
+            "x", (), True, True, False
+        )
 
 
 class TestInvalidation:
@@ -39,14 +41,12 @@ class TestInvalidation:
         before = (
             keys.compile_key("awk", 1, "src"),
             keys.trace_key("fp", 1, 1000),
-            keys.profile_key("tk"),
             keys.result_key("tk", ("BASE",), True, True, False),
         )
         monkeypatch.setattr(keys, "__version__", "999.0.0")
         after = (
             keys.compile_key("awk", 1, "src"),
             keys.trace_key("fp", 1, 1000),
-            keys.profile_key("tk"),
             keys.result_key("tk", ("BASE",), True, True, False),
         )
         for old, new in zip(before, after):

@@ -8,7 +8,7 @@ def make_report():
     report = FarmReport()
     report.record("k1", "trace", "awk", RUN, 2.0)
     report.record("k2", "trace", "awk", HIT)
-    report.record("k3", "profile", "grep", RUN, 0.5)
+    report.record("k3", "compile", "grep", RUN, 0.5)
     report.record("k4", "analyze", "grep", HIT)
     return report
 
@@ -37,7 +37,7 @@ class TestAccounting:
         # The window spans the earliest start to the latest finish, so it
         # is at least as long as the longest single job.
         assert report.wall_in("trace") >= 1.5
-        assert report.wall_in("profile") == 0.0
+        assert report.wall_in("analyze") == 0.0
 
 
 class TestRendering:
@@ -86,7 +86,7 @@ class TestTelemetryCounters:
             assert hits.value(stage="trace") == 1
             assert hits.value(stage="analyze") == 1
             assert misses.value(stage="trace") == 1
-            assert misses.value(stage="profile") == 1
+            assert misses.value(stage="compile") == 1
             assert seconds.value(stage="trace") == 2.0
         finally:
             telemetry.shutdown()

@@ -76,13 +76,13 @@ class TestResume:
         first = FarmReport()
         graph = plan(cache, first, requests)
         ExecutionEngine(cache, jobs=1).execute(graph, first)
-        assert first.executed == 4  # compile + trace + profile + analyze
+        assert first.executed == 3  # compile + trace + analyze
 
         resumed = FarmReport()
         graph = plan(cache, resumed, requests)
         ExecutionEngine(cache, jobs=1, resume=True).execute(graph, resumed)
         assert resumed.executed == 0
-        assert resumed.resumed == 3  # every farm job came from the journal
+        assert resumed.resumed == 2  # every farm job came from the journal
         assert resumed.hit_rate == 100.0
 
     def test_without_resume_cached_jobs_are_plain_hits(self, cache):
@@ -95,7 +95,7 @@ class TestResume:
         graph = plan(cache, warm, requests)
         ExecutionEngine(cache, jobs=1, resume=False).execute(graph, warm)
         assert warm.resumed == 0
-        assert warm.hits == 4  # compile (planner-side) + the 3 farm jobs
+        assert warm.hits == 3  # compile (planner-side) + the 2 farm jobs
 
     def test_resume_reexecutes_jobs_with_missing_artifacts(self, cache):
         """Journaled but evicted artifacts are re-produced, not trusted."""
@@ -112,7 +112,7 @@ class TestResume:
         graph = plan(cache, resumed, requests)
         ExecutionEngine(cache, jobs=1, resume=True).execute(graph, resumed)
         assert resumed.executed == 1  # just the evicted analysis
-        assert resumed.resumed == 2
+        assert resumed.resumed == 1
         assert cache.has_result(analyze.key)
 
     def test_partial_journal_resumes_the_finished_prefix(self, cache):
@@ -137,4 +137,4 @@ class TestResume:
         # job is reported as resumed, the rest as ordinary hits.
         assert resumed.executed == 0
         assert resumed.resumed == 1
-        assert resumed.hits == 3  # compile (planner-side) + the other 2
+        assert resumed.hits == 2  # compile (planner-side) + the analysis

@@ -34,19 +34,19 @@ def loop_trace(iterations=10):
 
 class TestProfilePredictor:
     def test_majority_taken(self):
-        predictor = ProfilePredictor.from_counts({5: [2, 8]})
+        predictor = ProfilePredictor.from_counts({5: [2, 8]}, records=20)
         assert predictor.lookup(5) is True
 
     def test_majority_not_taken(self):
-        predictor = ProfilePredictor.from_counts({5: [9, 1]})
+        predictor = ProfilePredictor.from_counts({5: [9, 1]}, records=20)
         assert predictor.lookup(5) is False
 
     def test_tie_predicts_taken(self):
-        predictor = ProfilePredictor.from_counts({5: [3, 3]})
+        predictor = ProfilePredictor.from_counts({5: [3, 3]}, records=20)
         assert predictor.lookup(5) is True
 
     def test_unseen_branch_uses_default(self):
-        predictor = ProfilePredictor.from_counts({}, default_taken=False)
+        predictor = ProfilePredictor.from_counts({}, records=0, default_taken=False)
         assert predictor.lookup(99) is False
 
     def test_from_trace_matches_from_run(self):

@@ -77,8 +77,8 @@ class TestFarmIntegration:
         records = telemetry.load_spans(tele_dir)
         job_spans = [r for r in records if r["name"].startswith("job.")]
         assert {r["attrs"]["benchmark"] for r in job_spans} == {"awk", "eqntott"}
-        # trace + profile per benchmark, each from a worker process.
-        assert len(job_spans) == 4
+        # One trace job per benchmark, each from a worker process.
+        assert len(job_spans) == 2
         main_pid = {
             r["pid"] for r in records if r["name"] == "farm.execute"
         }

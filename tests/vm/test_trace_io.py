@@ -119,7 +119,6 @@ class TestV2Streaming:
         with TraceWriter(path, program, chunk_size=7) as writer:
             writer.write(list(trace.pcs), list(trace.addrs), list(trace.takens))
         reader = TraceReader(path, program)
-        assert reader.version == 2
         assert reader.chunk_size == 7
         loaded = reader.to_trace()
         assert loaded.pcs == trace.pcs
@@ -201,62 +200,16 @@ class TestV2Streaming:
             load_trace(path, program)
 
 
-def _v1_bytes(name: str, pcs, addrs, takens) -> bytes:
-    """Hand-build a version-1 RTRC file (single header, whole columns)."""
-    from array import array
-
-    name_bytes = name.encode("utf-8")
-    out = b"RTRC" + struct.pack("<IQH", 1, len(pcs), len(name_bytes))
-    out += name_bytes
-    out += array("I", pcs).tobytes()
-    out += array("q", addrs).tobytes()
-    out += array("b", takens).tobytes()
-    return out
-
-
 class TestV1Compat:
-    def test_v1_file_still_loads(self, traced, tmp_path):
-        program, trace = traced
+    def test_v1_header_is_unsupported(self, traced, tmp_path):
+        # No writer emits version 1 and cache keys carry the format
+        # version, so a v1 file is rejected by name, not read.
+        program, _ = traced
+        name = program.name.encode("utf-8")
         path = tmp_path / "v1.rtrc"
-        path.write_bytes(
-            _v1_bytes(
-                program.name,
-                list(trace.pcs),
-                list(trace.addrs),
-                list(trace.takens),
-            )
-        )
-        loaded = load_trace(path, program)
-        assert loaded.pcs == trace.pcs
-        assert loaded.addrs == trace.addrs
-        assert loaded.takens == trace.takens
-
-    def test_v1_reader_knows_total_up_front(self, traced, tmp_path):
-        program, trace = traced
-        path = tmp_path / "v1.rtrc"
-        path.write_bytes(
-            _v1_bytes(
-                program.name,
-                list(trace.pcs),
-                list(trace.addrs),
-                list(trace.takens),
-            )
-        )
-        reader = TraceReader(path, program)
-        assert reader.version == 1
-        assert reader.total == len(trace)
-        assert [c.pcs for c in reader.chunks()] == [list(trace.pcs)]
-
-    def test_v1_garbled_taken_rejected(self, traced, tmp_path):
-        program, trace = traced
-        takens = list(trace.takens)
-        takens[2] = 5
-        path = tmp_path / "v1bad.rtrc"
-        path.write_bytes(
-            _v1_bytes(program.name, list(trace.pcs), list(trace.addrs), takens)
-        )
-        with pytest.raises(TraceFormatError, match=r"outside \{-1, 0, 1\}"):
-            load_trace(path, program)
+        path.write_bytes(b"RTRC" + struct.pack("<IQH", 1, 0, len(name)) + name)
+        with pytest.raises(TraceFormatError, match="unsupported trace version 1"):
+            TraceReader(path, program)
 
     def test_unsupported_version_rejected(self, traced, tmp_path):
         program, _ = traced
@@ -640,23 +593,18 @@ class TestDamagedFiles:
         with pytest.raises(CorruptArtifactError, match="exceeds the header's chunk size"):
             load_trace(plain, program)
 
-    def test_garbled_v1_count_reads_as_truncated(self, traced, tmp_path):
-        # A v1 count has no chunk size to bound it; reads are capped so
-        # the file's end, not a terabyte allocation, stops the reader.
-        program, trace = traced
-        data = bytearray(
-            _v1_bytes(
-                program.name,
-                list(trace.pcs),
-                list(trace.addrs),
-                list(trace.takens),
-            )
-        )
-        data[8:16] = struct.pack("<Q", 1 << 40)
-        path = tmp_path / "v1huge.rtrc"
-        path.write_bytes(bytes(data))
+    def test_garbled_chunk_size_reads_as_truncated(self, small):
+        # A garbled header chunk size no longer bounds frame counts; reads
+        # are capped so the file's end, not a huge allocation, stops the
+        # reader.
+        program, _, plain, _ = small
+        data = bytearray(plain.read_bytes())
+        data[8:12] = struct.pack("<I", 0xFFFFFFF0)
+        first_count = _frame_offsets(program.name, [8])[0] - 4
+        data[first_count : first_count + 4] = struct.pack("<I", 1 << 30)
+        plain.write_bytes(bytes(data))
         with pytest.raises(CorruptArtifactError, match="truncated"):
-            load_trace(path, program)
+            load_trace(plain, program)
 
     def test_garbled_name_is_typed(self, small):
         program, _, plain, _ = small
