@@ -56,13 +56,6 @@ ABI_LIVE_IN: frozenset[int] = frozenset(
 _TERMINAL_KINDS = frozenset({OpKind.JR, OpKind.JUMP, OpKind.HALT})
 
 
-def _function_of_pc(cfgs: list[FunctionCFG], pc: int) -> FunctionCFG | None:
-    for cfg in cfgs:
-        if cfg.function.start <= pc < cfg.function.end:
-            return cfg
-    return None
-
-
 def _reachable_blocks(cfg: FunctionCFG) -> set[int]:
     seen = {cfg.entry}
     stack = [cfg.entry]

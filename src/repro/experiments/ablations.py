@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core import MachineModel
 from repro.experiments.runner import SuiteRunner, TextTable
@@ -133,21 +133,21 @@ def convergence_ablation(
 ) -> ConvergenceAblation:
     """Re-run the Table 3 harmonic mean at several trace budgets.
 
-    The per-budget runners inherit the parent runner's workload scale and
-    persistent artifact cache, so a prior :meth:`SuiteRunner.prefetch` of
-    this ablation's requirements (which is how large ``--max-steps``
-    sweeps become tractable) is reused here instead of re-traced.
+    The per-budget runners inherit the parent runner's configuration and
+    artifact cache (its throwaway one too), so a prior
+    :meth:`SuiteRunner.prefetch` of this ablation's requirements (which is
+    how large ``--max-steps`` sweeps become tractable) is reused here
+    instead of re-traced.
     """
     from repro.bench import NON_NUMERIC
     from repro.core import ALL_MODELS, harmonic_mean
-    from repro.experiments.runner import RunConfig
 
-    scale = runner.config.scale if runner is not None else None
-    cache_dir = runner.config.cache_dir if runner is not None else None
+    if runner is None:
+        runner = SuiteRunner()
     rows: list[tuple[int, dict[MachineModel, float]]] = []
     for budget in budgets:
         budget_runner = SuiteRunner(
-            RunConfig(max_steps=budget, scale=scale, cache_dir=cache_dir)
+            replace(runner.config, max_steps=budget, cache_dir=runner.cache_dir)
         )
         per_model: dict[MachineModel, list[float]] = {m: [] for m in ALL_MODELS}
         for name in NON_NUMERIC:

@@ -7,7 +7,7 @@ Usage::
     repro-experiments --max-steps 500000 # bigger traces (closer to paper)
     repro-experiments --jobs 8           # farm the work across 8 processes
     repro-experiments --cache-dir /tmp/c # persistent artifact cache location
-    repro-experiments --no-cache         # don't keep artifacts between runs
+    repro-experiments --no-cache         # a throwaway cache, removed at exit
     repro-experiments --legacy-engine    # per-model analyzer sweep (oracle)
     repro-experiments --telemetry-dir T --metrics --profile  # observability
     repro-experiments --retries 3 --job-timeout 120  # farm fault tolerance
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -160,8 +159,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="do not keep artifacts between runs (with --jobs > 1, a "
-        "throwaway directory still transports artifacts between workers)",
+        help="use a throwaway artifact cache, removed at exit, instead of "
+        "--cache-dir",
     )
     parser.add_argument(
         "--legacy-engine",
@@ -274,14 +273,8 @@ def main(argv: list[str] | None = None) -> int:
         except FaultSpecError as exc:
             parser.error(f"--inject-faults: {exc}")
 
-    transport = None
     if args.no_cache:
-        # Workers still need a directory to ship artifacts through; use a
-        # throwaway one so nothing persists.
-        cache_dir = None
-        if args.jobs > 1:
-            transport = tempfile.TemporaryDirectory(prefix="repro-cache-")
-            cache_dir = transport.name
+        cache_dir = None  # the runner makes a throwaway cache
     else:
         cache_dir = args.cache_dir
         # Reclaim temp files left by writers killed in earlier runs.
@@ -361,8 +354,6 @@ def main(argv: list[str] | None = None) -> int:
         telemetry.shutdown()
         if report:
             report.close()
-        if transport is not None:
-            transport.cleanup()
     return 0
 
 

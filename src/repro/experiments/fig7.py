@@ -36,12 +36,6 @@ class Fig7:
             table.add(label, mean, count, 100.0 * count / total)
         return table.render()
 
-    def monotone_prefix(self) -> bool:
-        """True if parallelism is non-decreasing over the populated bins —
-        the paper's qualitative claim."""
-        means = [mean for _, _, mean, count in self.rows if count > 0]
-        return all(b >= a * 0.8 for a, b in zip(means, means[1:]))
-
 
 def requirements(config) -> list:
     """Farm requests: full analysis with SP segment statistics collected."""

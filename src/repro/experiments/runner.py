@@ -9,6 +9,9 @@ every table and figure from one set of pixie runs.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -28,7 +31,7 @@ from repro.jobs import (
     RetryPolicy,
     TraceRequest,
 )
-from repro.vm import CorruptArtifactError, FastVM, Trace
+from repro.vm import CorruptArtifactError, Trace
 
 
 class DeadJobError(RuntimeError):
@@ -47,12 +50,12 @@ class RunConfig:
     :class:`~repro.diagnostics.DiagnosticError` on any error-severity
     finding.
 
-    ``cache_dir`` enables the persistent content-addressed artifact cache
-    of :mod:`repro.jobs` at that directory (None — the default, which the
-    test suite exercises — keeps everything in-process and in-memory, the
-    pre-farm behavior).  ``jobs`` is the worker-process count used when
-    experiment requirements are prefetched through the farm; 1 runs jobs
-    serially in-process.
+    ``cache_dir`` is the directory of the content-addressed artifact
+    cache of :mod:`repro.jobs` that every artifact is produced into and
+    loaded from.  None (the default) gives the runner a throwaway cache,
+    removed when the runner is collected or the process exits.  ``jobs``
+    is the worker-process count used when experiment requirements are
+    prefetched through the farm; 1 runs jobs serially in-process.
 
     ``engine`` selects the analyzer implementation: ``"fused"`` (the
     default single-pass engine) or ``"legacy"`` (the original per-model
@@ -94,13 +97,12 @@ class RunConfig:
 class BenchmarkRun:
     """One benchmark's trace plus everything derived from it.
 
-    The trace is held either in memory (``trace=``, the no-cache path) or
-    in the content-addressed cache behind an ``opener`` producing fresh
-    streaming readers.  :attr:`trace` materializes lazily for consumers
-    that genuinely need whole-trace columns (the verifier, ablations);
-    chunk-wise consumers call :meth:`trace_source` and never pay the
-    memory.  :attr:`stats` (Table 2) comes from the profile's counts, with
-    no pass over the trace.
+    The trace lives in the artifact cache behind an ``opener`` producing
+    fresh streaming readers.  :attr:`trace` materializes it lazily for
+    consumers that genuinely need whole-trace columns (the verifier,
+    ablations); chunk-wise consumers call :meth:`trace_source` and never
+    pay the memory.  :attr:`stats` (Table 2) comes from the profile's
+    counts, with no pass over the trace.
     """
 
     def __init__(
@@ -108,15 +110,12 @@ class BenchmarkRun:
         spec: BenchmarkSpec,
         analyzer: LimitAnalyzer,
         predictor: ProfilePredictor,
-        trace: Trace | None = None,
-        opener=None,
+        opener,
     ):
-        if trace is None and opener is None:
-            raise ValueError("BenchmarkRun needs a trace or an opener")
         self.spec = spec
         self.analyzer = analyzer
         self.predictor = predictor
-        self._trace = trace
+        self._trace: Trace | None = None
         self._opener = opener
 
     @property
@@ -131,14 +130,8 @@ class BenchmarkRun:
         return self._trace
 
     def trace_source(self):
-        """The cheapest full-trace source for chunk-wise consumers.
-
-        A fresh streaming :class:`~repro.vm.trace_io.TraceReader` when
-        the trace lives in the artifact cache (bounded memory at any
-        budget), else the in-memory :class:`Trace`.
-        """
-        if self._trace is not None:
-            return self._trace
+        """A fresh streaming :class:`~repro.vm.trace_io.TraceReader`:
+        bounded memory at any budget."""
         return self._opener()
 
     @property
@@ -150,16 +143,15 @@ class BenchmarkRun:
 class SuiteRunner:
     """Caches traces and analysis results across experiment modules.
 
-    With ``RunConfig.cache_dir`` set, every expensive artifact — traces,
-    branch profiles, analysis results — is produced by the farm of
-    :mod:`repro.jobs` into its persistent content-addressed store and
-    loaded from there: :meth:`prefetch` farms the work for a set of
-    experiment requests across worker processes before the experiment
-    modules render anything, and :meth:`run` / :meth:`analyze` retire
-    their one request through the same planner and a serial engine, so
-    the stage functions of :mod:`repro.jobs.worker` are the only
-    definition of each stage.  Without a cache directory the runner is
-    the original serial, in-process engine.
+    Every expensive artifact — traces, branch profiles, analysis results
+    — is produced by the farm of :mod:`repro.jobs` into the
+    content-addressed cache at :attr:`cache_dir` and loaded from there:
+    :meth:`prefetch` farms the work for a set of experiment requests
+    across worker processes before the experiment modules render
+    anything, and :meth:`run` / :meth:`analyze` retire their one request
+    through the same planner and a serial engine, so the stage functions
+    of :mod:`repro.jobs.worker` are the only definition of each stage.
+    Only the legacy engine and custom predictors analyze in-process.
     """
 
     def __init__(self, config: RunConfig | None = None):
@@ -176,11 +168,17 @@ class SuiteRunner:
         self._runs: dict[str, BenchmarkRun] = {}
         self._results: dict[tuple, AnalysisResult] = {}
         self.farm_report = FarmReport()
-        self._cache = None
-        self._planner = None
-        if self.config.cache_dir is not None:
-            self._cache = ArtifactCache(self.config.cache_dir)
-            self._planner = Planner(self._cache, self.farm_report)
+        cache_dir = self.config.cache_dir
+        if cache_dir is None:
+            cache_dir = tempfile.mkdtemp(prefix="repro-cache-")
+            weakref.finalize(self, shutil.rmtree, cache_dir, ignore_errors=True)
+        self._cache = ArtifactCache(cache_dir)
+        self._planner = Planner(self._cache, self.farm_report)
+
+    @property
+    def cache_dir(self) -> Path:
+        """The artifact cache directory, throwaway when the config has none."""
+        return self._cache.root
 
     def prefetch(self, requests: Iterable) -> None:
         """Produce all artifacts for *requests* up front, possibly in parallel.
@@ -189,12 +187,8 @@ class SuiteRunner:
         skips jobs whose artifact is already cached, and runs the rest
         across ``RunConfig.jobs`` worker processes (serially in-process
         for ``jobs=1``).  Subsequent :meth:`run` / :meth:`analyze` calls
-        then find every job a cache hit and only load the artifacts.  A
-        no-op without a cache directory (workers ship artifacts through
-        the cache).
+        then find every job a cache hit and only load the artifacts.
         """
-        if self._cache is None:
-            return
         self._retire(requests, self.config.jobs)
 
     def _retire(self, requests: Iterable, jobs: int) -> None:
@@ -257,30 +251,21 @@ class SuiteRunner:
         spec = SUITE[name]
         with telemetry.span("runner.run", benchmark=name):
             program = spec.compile(self.config.scale)
-            if self._cache is None:
-                result = FastVM(program).run(max_steps=self.config.max_steps)
-                run = BenchmarkRun(
-                    spec=spec,
-                    analyzer=LimitAnalyzer(program),
-                    predictor=ProfilePredictor.from_run(result),
-                    trace=result.trace,
-                )
-            else:
-                # The trace stays in the cache, read through streaming
-                # readers, so a 100M-step budget costs no resident memory.
-                cache = self._cache
-                request = TraceRequest(name)
-                run = BenchmarkRun(
-                    spec=spec,
-                    analyzer=LimitAnalyzer(program),
-                    predictor=self._load(
-                        request, lambda keys: cache.load_profile(keys.trace)
-                    ),
-                    opener=lambda: self._load(
-                        request,
-                        lambda keys: cache.open_trace_reader(keys.trace, program),
-                    ),
-                )
+            # The trace stays in the cache, read through streaming readers,
+            # so a 100M-step budget costs no resident memory.
+            cache = self._cache
+            request = TraceRequest(name)
+            run = BenchmarkRun(
+                spec=spec,
+                analyzer=LimitAnalyzer(program),
+                predictor=self._load(
+                    request, lambda keys: cache.load_profile(keys.trace)
+                ),
+                opener=lambda: self._load(
+                    request,
+                    lambda keys: cache.open_trace_reader(keys.trace, program),
+                ),
+            )
             if self.config.verify:
                 self._verify(run)
         self._runs[name] = run
@@ -337,8 +322,9 @@ class SuiteRunner:
         )
         if predictor is None and key in self._results:
             return self._results[key]
-        farmed = self._cache is not None and self.config.engine == "fused"
-        if predictor is None and farmed:
+        if self.config.verify:
+            self.run(name)  # verify the run before its numbers are used
+        if predictor is None and self.config.engine == "fused":
             cache = self._cache
             result = self._load(
                 AnalysisRequest(

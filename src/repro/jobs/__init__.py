@@ -16,7 +16,7 @@ work is journaled for ``--resume``, and a deterministic fault injector
 ``docs/robustness.md``.
 """
 
-from repro.jobs.backends import Completion, ExecutorBackend, WorkerLost
+from repro.jobs.backends import Completion, ExecutorBackend
 from repro.jobs.cache import ArtifactCache
 from repro.jobs.engine import (
     ExecutionEngine,
@@ -46,7 +46,6 @@ __all__ = [
     "DEAD",
     "ExecutionEngine",
     "ExecutorBackend",
-    "WorkerLost",
     "FailureRecord",
     "FarmReport",
     "FaultClause",

@@ -6,6 +6,6 @@ implementations import lazily from their modules so importing
 :mod:`repro.jobs` does not pull in process pools.
 """
 
-from repro.jobs.backends.base import Completion, ExecutorBackend, WorkerLost
+from repro.jobs.backends.base import Completion, ExecutorBackend
 
-__all__ = ["Completion", "ExecutorBackend", "WorkerLost"]
+__all__ = ["Completion", "ExecutorBackend"]

@@ -38,10 +38,6 @@ from typing import Protocol, runtime_checkable
 from repro.jobs.graph import Job  # re-exported for backend authors
 
 
-class WorkerLost(Exception):
-    """An executor (a pool worker) died under its jobs."""
-
-
 @dataclass
 class Completion:
     """One settled job attempt, as reported by a backend."""
@@ -76,7 +72,8 @@ class ExecutorBackend(Protocol):
 
     def submit(self, job: Job, payload: dict, attempt: int,
                timeout: float | None) -> None:
-        """Start one job attempt.  Raises :class:`WorkerLost` if the
+        """Start one job attempt.  Raises
+        :class:`~concurrent.futures.process.BrokenProcessPool` if the
         backend discovered mid-submit that it is broken; the engine
         unwinds the attempt and replaces the backend."""
 

@@ -25,7 +25,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.jobs.backends.base import Completion, WorkerLost
+from repro.jobs.backends.base import Completion
 from repro.jobs.graph import Job
 from repro.jobs.retry import JobTimeout
 from repro.jobs.worker import execute_job
@@ -79,7 +79,7 @@ class PoolBackend:
             future = self._pool.submit(execute_job, payload)
         except (BrokenProcessPool, RuntimeError) as exc:
             self._broken = True
-            raise WorkerLost(str(exc) or "process pool is broken") from exc
+            raise BrokenProcessPool(str(exc) or "process pool is broken") from exc
         self._running[future] = _InFlight(job, attempt, deadline, timeout)
 
     def poll(self, timeout: float) -> list[Completion]:

@@ -55,7 +55,7 @@ from repro import telemetry
 from repro.asm.disassembler import disassemble
 from repro.bench import SUITE
 from repro.jobs import keys
-from repro.jobs.backends import Completion, WorkerLost
+from repro.jobs.backends import Completion
 from repro.jobs.cache import ArtifactCache
 from repro.jobs.faults import FaultPlan
 from repro.jobs.graph import Job, JobGraph
@@ -241,9 +241,9 @@ class Planner:
     ) -> RequestKeys:
         """Content addresses of every artifact *request* maps to.
 
-        Derives keys exactly as :meth:`plan` does (including running the
-        in-planner compile stage when the fingerprint is not memoized),
-        without adding any jobs to a graph.
+        The one key derivation :meth:`plan` builds its jobs on (running
+        the in-planner compile stage when the fingerprint is not
+        memoized), without adding any jobs to a graph.
         """
         scale, max_steps = self._resolve(request, default_scale, default_max_steps)
         spec = SUITE[request.benchmark]
@@ -272,75 +272,55 @@ class Planner:
     ) -> JobGraph:
         graph = JobGraph()
         telemetry_dir, profile = self._telemetry_payload()
+        shared = {
+            "cache_dir": str(self.cache.root),
+            "telemetry": telemetry_dir,
+            "profiling": profile,
+        }
         for request in requests:
             scale, max_steps = self._resolve(
                 request, default_scale, default_max_steps
             )
-            trace_key = self._add_trace_job(
-                graph, request.benchmark, scale, max_steps, telemetry_dir, profile
+            keys_ = self.request_keys(request, default_scale, default_max_steps)
+            benchmark = request.benchmark
+            graph.add(
+                Job(
+                    key=keys_.trace,
+                    stage="trace",
+                    benchmark=benchmark,
+                    payload={
+                        "stage": "trace",
+                        "key": keys_.trace,
+                        "benchmark": benchmark,
+                        "scale": scale,
+                        "max_steps": max_steps,
+                        **shared,
+                    },
+                )
             )
-            if isinstance(request, AnalysisRequest):
-                labels = request.model_labels
-                result_key = keys.result_key(
-                    trace_key,
-                    labels,
-                    request.perfect_unrolling,
-                    request.perfect_inlining,
-                    request.collect_misprediction_stats,
+            if keys_.result is None:
+                continue
+            graph.add(
+                Job(
+                    key=keys_.result,
+                    stage="analyze",
+                    benchmark=benchmark,
+                    deps=(keys_.trace,),
+                    payload={
+                        "stage": "analyze",
+                        "key": keys_.result,
+                        "benchmark": benchmark,
+                        "scale": scale,
+                        "trace": keys_.trace,
+                        "models": list(request.model_labels),
+                        "perfect_unrolling": request.perfect_unrolling,
+                        "perfect_inlining": request.perfect_inlining,
+                        "misprediction_stats": request.collect_misprediction_stats,
+                        **shared,
+                    },
                 )
-                graph.add(
-                    Job(
-                        key=result_key,
-                        stage="analyze",
-                        benchmark=request.benchmark,
-                        deps=(trace_key,),
-                        payload={
-                            "stage": "analyze",
-                            "key": result_key,
-                            "benchmark": request.benchmark,
-                            "scale": scale,
-                            "trace": trace_key,
-                            "models": list(labels),
-                            "perfect_unrolling": request.perfect_unrolling,
-                            "perfect_inlining": request.perfect_inlining,
-                            "misprediction_stats": request.collect_misprediction_stats,
-                            "cache_dir": str(self.cache.root),
-                            "telemetry": telemetry_dir,
-                            "profiling": profile,
-                        },
-                    )
-                )
+            )
         return graph
-
-    def _add_trace_job(
-        self,
-        graph: JobGraph,
-        benchmark: str,
-        scale: int,
-        max_steps: int,
-        telemetry_dir: str | None = None,
-        profile: bool = False,
-    ) -> str:
-        fingerprint = self.fingerprint(benchmark, scale)
-        trace_key = keys.trace_key(fingerprint, scale, max_steps)
-        graph.add(
-            Job(
-                key=trace_key,
-                stage="trace",
-                benchmark=benchmark,
-                payload={
-                    "stage": "trace",
-                    "key": trace_key,
-                    "benchmark": benchmark,
-                    "scale": scale,
-                    "max_steps": max_steps,
-                    "cache_dir": str(self.cache.root),
-                    "telemetry": telemetry_dir,
-                    "profiling": profile,
-                },
-            )
-        )
-        return trace_key
 
 
 class _RunState:
@@ -505,7 +485,7 @@ class ExecutionEngine:
             return "timeout"
         if isinstance(exc, CorruptArtifactError):
             return "corrupt"
-        if isinstance(exc, (BrokenProcessPool, WorkerLost)):
+        if isinstance(exc, BrokenProcessPool):
             return "crash"
         return "error"
 
@@ -676,7 +656,7 @@ class ExecutionEngine:
                         backend.submit(
                             job, payload, attempt, self.retry.job_timeout
                         )
-                    except WorkerLost:
+                    except BrokenProcessPool:
                         state.unwind_attempt(job.key)
                         break
                     del state.pending[job.key]
@@ -721,9 +701,7 @@ class ExecutionEngine:
             else:
                 state.pending[job.key] = job
             return
-        if isinstance(
-            completion.error, (BrokenProcessPool, WorkerLost)
-        ) and self._cached(job):
+        if isinstance(completion.error, BrokenProcessPool) and self._cached(job):
             # The executor died *after* the job published its artifact:
             # retiring from the cache is the only outcome that cannot
             # run the job a second time.

@@ -119,6 +119,5 @@ def _analysis_job(payload: dict) -> None:
         perfect_unrolling=payload["perfect_unrolling"],
         perfect_inlining=payload["perfect_inlining"],
         collect_misprediction_stats=payload["misprediction_stats"],
-        engine=payload.get("engine", "fused"),
     )
     cache.store_result(payload["key"], result)

@@ -139,6 +139,21 @@ class TestConvergenceAblation:
         result = ablations.convergence_ablation(budgets=(20_000, 40_000))
         assert "trace length" in result.render()
 
+    def test_budget_runners_keep_the_callers_engine(self, monkeypatch):
+        from repro.core import LimitAnalyzer
+
+        engines = []
+        analyze = LimitAnalyzer.analyze
+
+        def spy(self, *args, engine="fused", **kwargs):
+            engines.append(engine)
+            return analyze(self, *args, engine=engine, **kwargs)
+
+        monkeypatch.setattr(LimitAnalyzer, "analyze", spy)
+        legacy = SuiteRunner(RunConfig(max_steps=4_000, engine="legacy"))
+        ablations.convergence_ablation(legacy, budgets=(2_000, 3_000))
+        assert engines and set(engines) == {"legacy"}
+
 
 class TestInliningAblation:
     def test_inlining_helps(self, runner):

@@ -3,12 +3,24 @@
 The acceptance bar from the farm design: ``repro-experiments table3``
 must produce byte-identical stdout with ``--jobs 1`` and ``--jobs 4``,
 and a warm-cache second run must produce identical output while
-executing zero trace jobs.
+executing zero trace jobs.  With a cache and without one (a throwaway
+cache, removed afterwards), ``table2 table3`` prints exactly the tables
+the differential oracles render.
 """
+
+import gc
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.bench import SUITE
+from repro.core import LimitAnalyzer
+from repro.experiments import table2, table3
 from repro.experiments.cli import main
+from repro.prediction import ProfilePredictor, branch_stats
+from repro.vm import VM
 
 MAX_STEPS = "4000"
 
@@ -18,6 +30,47 @@ def run_cli(capsys, args):
     assert main(args) == 0
     captured = capsys.readouterr()
     return captured.out, captured.err
+
+
+ORACLE_STEPS = 20_000
+
+
+class _OracleRunner:
+    """What table2.run and table3.run read from a SuiteRunner, built from
+    the differential oracles: the legacy VM, Table 2 from ``branch_stats``
+    over the trace, and the legacy analyzer."""
+
+    def __init__(self, max_steps: int):
+        self.max_steps = max_steps
+        self.runs: dict[str, SimpleNamespace] = {}
+
+    def run(self, name: str) -> SimpleNamespace:
+        if name not in self.runs:
+            program = SUITE[name].compile()
+            trace = VM(program).run(max_steps=self.max_steps).trace
+            predictor = ProfilePredictor.from_trace(trace)
+            self.runs[name] = SimpleNamespace(
+                program=program,
+                trace=trace,
+                predictor=predictor,
+                stats=branch_stats(trace, predictor),
+            )
+        return self.runs[name]
+
+    def analyze(self, name: str):
+        run = self.run(name)
+        return LimitAnalyzer(run.program).analyze(
+            run.trace, predictor=run.predictor, engine="legacy"
+        )
+
+
+@pytest.fixture(scope="module")
+def oracle_tables() -> str:
+    """``table2 table3`` stdout as rendered from the oracle runner."""
+    runner = _OracleRunner(ORACLE_STEPS)
+    return "".join(
+        f"{module.run(runner).render()}\n\n" for module in (table2, table3)
+    )
 
 
 class TestParallelByteIdentity:
@@ -42,20 +95,32 @@ class TestParallelByteIdentity:
         )
         assert parallel == serial
 
-    def test_cached_matches_uncached(self, capsys, tmp_path):
-        cached, _ = run_cli(
+    def test_cached_matches_uncached(self, capsys, tmp_path, oracle_tables):
+        args = ["table2", "table3", "--max-steps", str(ORACLE_STEPS), "--quiet"]
+        cached, _ = run_cli(capsys, args + ["--cache-dir", str(tmp_path / "c")])
+        uncached, _ = run_cli(capsys, args + ["--no-cache"])
+        assert cached == oracle_tables
+        assert uncached == oracle_tables
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_no_cache_leaves_no_directory(self, capsys, tmp_path, monkeypatch, jobs):
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def recorded(*args, **kwargs):
+            made.append(mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(tempfile, "mkdtemp", recorded)
+        run_cli(
             capsys,
-            [
-                "table2",
-                "--max-steps", MAX_STEPS,
-                "--cache-dir", str(tmp_path / "c"),
-            ],
+            ["table2", "--max-steps", MAX_STEPS, "--no-cache", "--jobs", jobs],
         )
-        uncached, _ = run_cli(
-            capsys,
-            ["table2", "--max-steps", MAX_STEPS, "--no-cache"],
-        )
-        assert cached == uncached
+        gc.collect()
+        assert any(Path(path).name.startswith("repro-cache-") for path in made)
+        assert all(path.startswith(str(tmp_path)) for path in made)
+        assert list(tmp_path.glob("repro-cache-*")) == []
 
 
 class TestWarmCache:

@@ -67,6 +67,16 @@ class TestSuiteRunner:
         assert runner.config.max_steps == 150_000
         assert runner.config.scale is None
 
+    def test_analyze_verifies_the_run_first(self, monkeypatch):
+        verified = []
+        monkeypatch.setattr(
+            SuiteRunner, "_verify", lambda self, run: verified.append(run.name)
+        )
+        runner = SuiteRunner(RunConfig(max_steps=5_000, verify=True))
+        runner.analyze("awk", models=[M.BASE])
+        runner.analyze("awk", models=[M.CD])
+        assert verified == ["awk"]
+
     def test_scale_override(self):
         runner = SuiteRunner(RunConfig(max_steps=5_000, scale=1))
         run = runner.run("matrix300")
