@@ -381,17 +381,14 @@ class LimitAnalyzer:
                 chunks = _chunk_feed(
                     source, predictor, needs_prediction, self.program
                 )
-                counted, seq_time, total, makespans, peaks, kernel_tele = _run_fused(
-                    models, chunks, tables, window, stats, flow_limit,
-                    latencies, telemetry_on=tele_on,
+                counted, seq_time, total, makespans, peaks = _run_fused(
+                    models, chunks, tables, window, stats, flow_limit, latencies
                 )
                 for model, makespan, peak in zip(models, makespans, peaks):
                     result.models[model] = ModelResult(
                         model=model, sequential_time=seq_time, parallel_time=makespan
                     )
                     flow_peaks[model] = peak
-                if kernel_tele is not None:
-                    self._record_kernel_telemetry(kernel_tele, sp)
 
             result.trace_length = total
             result.counted_instructions = counted
@@ -433,25 +430,6 @@ class LimitAnalyzer:
                     },
                 )
         return result
-
-    def _record_kernel_telemetry(self, kernel_tele: dict, sp) -> None:
-        """Publish the fused kernel's end-of-sweep counter samples."""
-        name = self.program.name
-        state_gauge = telemetry.METRICS.gauge("repro_analyzer_value_state_entries")
-        state_gauge.set(kernel_tele["mem_entries"], program=name, state="memory")
-        for key, value in kernel_tele.items():
-            if key.startswith("bt_"):
-                state_gauge.set(
-                    value, program=name, state=f"branch_table_{key[3:]}"
-                )
-        lookups = kernel_tele.get("cd_lookups", 0)
-        if lookups:
-            hit_ratio = 1.0 - kernel_tele["cd_scans"] / lookups
-            telemetry.METRICS.gauge("repro_analyzer_cd_cache_hit_ratio").set(
-                hit_ratio, program=name
-            )
-            sp.set(cd_cache_hit_ratio=hit_ratio)
-        sp.set(value_state_entries=kernel_tele["mem_entries"])
 
     def schedule(
         self,
@@ -560,7 +538,6 @@ def _kernel_spec(
     flow_limit: int | None,
     stats: MispredictionStats | None,
     latencies: dict[OpKind, int] | None,
-    telemetry_on: bool = False,
 ) -> tuple:
     return (
         tuple(model.value for model in models),
@@ -568,7 +545,6 @@ def _kernel_spec(
         flow_limit is not None,
         stats is not None,
         latencies is None,  # unit latency: fold the +1 into the kernel
-        telemetry_on,  # telemetry variant: end-of-sweep counter sampling
     )
 
 
@@ -613,8 +589,7 @@ def _run_fused(
     stats: MispredictionStats | None,
     flow_limit: int | None,
     latencies: dict[OpKind, int] | None,
-    telemetry_on: bool = False,
-) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...], dict | None]:
+) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
     """One fused sweep over *chunks* for every model in *models*.
 
     *chunks* is an iterable of ``(pcs, addrs, mp)`` column triples (see
@@ -623,22 +598,12 @@ def _run_fused(
     while holding only one chunk in memory at a time.
 
     Returns ``(counted, sequential_time, total_records, makespans,
-    flow_peaks, kernel_telemetry)`` with the per-model tuples in request
-    order.  ``kernel_telemetry`` is None unless the telemetry kernel
-    variant ran; the variant adds only end-of-sweep sampling (value-state
-    map sizes) plus one integer increment on the CD ancestor-scan *miss*
-    path — no per-instruction Python calls — and is compiled and cached
-    separately, so the disabled kernels are byte-identical to the
-    uninstrumented ones.
+    flow_peaks)`` with the per-model tuples in request order.  The kernel
+    carries no telemetry code: the analyzer's span and throughput gauge
+    are recorded around the call.
     """
-    kernel = _kernel_for(
-        _kernel_spec(models, window, flow_limit, stats, latencies, telemetry_on)
-    )
-    out = kernel(chunks, tables, window, flow_limit, stats)
-    if telemetry_on:
-        return out
-    counted, seq_time, total, makespans, peaks = out
-    return counted, seq_time, total, makespans, peaks, None
+    kernel = _kernel_for(_kernel_spec(models, window, flow_limit, stats, latencies))
+    return kernel(chunks, tables, window, flow_limit, stats)
 
 
 def _kernel_for(spec: tuple):
@@ -658,7 +623,6 @@ def fused_kernel_source(
     flow_limit: bool = False,
     misprediction_stats: bool = False,
     unit_latency: bool = True,
-    telemetry_on: bool = False,
 ) -> str:
     """The generated fused-kernel source for a model set (debug/teaching)."""
     spec = (
@@ -667,7 +631,6 @@ def fused_kernel_source(
         flow_limit,
         misprediction_stats,
         unit_latency,
-        telemetry_on,
     )
     _kernel_for(spec)
     return _KERNEL_CACHE[spec][1]
@@ -689,7 +652,7 @@ def _emit_kernel(spec: tuple) -> str:
     ``c3`` is model 3's completion cycle for the current instruction,
     ``mk3`` its makespan, ``bt3`` its branch table, and so on.
     """
-    model_values, has_window, has_flow, has_stats, unit_lat, has_tele = spec
+    model_values, has_window, has_flow, has_stats, unit_lat = spec
     models = tuple(MachineModel(value) for value in model_values)
     n = len(models)
     cd = [m for m in range(n) if models[m] in _CD_MODELS]
@@ -779,8 +742,6 @@ def _emit_kernel(spec: tuple) -> str:
         emit("    k_gid = -1")
         emit("    k_ep = -1")
         emit("    proc = 0")
-        if has_tele:
-            emit("    cdsc = 0")
     if has_window:
         emit("    ring_idx = 0")
     emit("    addr = mpi = 0")
@@ -840,8 +801,6 @@ def _emit_kernel(spec: tuple) -> str:
         emit("        if gid != k_gid or ep != k_ep:")
         emit("            k_gid = gid")
         emit("            k_ep = ep")
-        if has_tele:
-            emit("            cdsc += 1")
         emit("            top = stack[-1]")
         emit("            best = top[0]")
         emit("            proc = top[1]")
@@ -1034,25 +993,10 @@ def _emit_kernel(spec: tuple) -> str:
     makespans = ", ".join(f"mk{m}" for m in range(n))
     peaks = ", ".join(f"pk{m}" for m in range(n))
     comma = "," if n == 1 else ""
-    if has_tele:
-        # End-of-sweep counter sampling (telemetry variant only): the
-        # value-state map sizes and the ancestor-scan miss count, read once
-        # after the loop — never per instruction.
-        emit("    tele = {'mem_entries': len(mem)}")
-        if any_cd:
-            emit("    tele['cd_scans'] = cdsc")
-            emit("    tele['cd_lookups'] = total")
-            for m in cd:
-                emit(f"    tele['bt_{models[m].value}'] = len(bt{m})")
-        emit(
-            f"    return counted, seq_time, total, ({makespans}{comma}), "
-            f"({peaks}{comma}), tele"
-        )
-    else:
-        emit(
-            f"    return counted, seq_time, total, "
-            f"({makespans}{comma}), ({peaks}{comma})"
-        )
+    emit(
+        f"    return counted, seq_time, total, "
+        f"({makespans}{comma}), ({peaks}{comma})"
+    )
     emit("")
     return "\n".join(out)
 

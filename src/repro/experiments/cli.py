@@ -11,7 +11,6 @@ Usage::
     repro-experiments --legacy-engine    # per-model analyzer sweep (oracle)
     repro-experiments --telemetry-dir T --metrics --profile  # observability
     repro-experiments --retries 3 --job-timeout 120  # farm fault tolerance
-    repro-experiments --resume           # skip jobs an interrupted run retired
     repro-experiments --inject-faults "stage=trace,mode=raise,times=1,seed=7"
     repro-experiments --list
 
@@ -25,7 +24,6 @@ stage and total summary lines always appear).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -35,7 +33,6 @@ from repro import telemetry
 from repro.asm import AsmError
 from repro.diagnostics import DiagnosticError
 from repro.jobs import ArtifactCache, FaultPlan, FaultSpecError
-from repro.jobs.faults import ENV_VAR as FAULTS_ENV_VAR
 from repro.lang import CompileError
 from repro.experiments import (
     ablations,
@@ -179,8 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="export metrics.json and metrics.prom into the telemetry "
-        "directory (requires --telemetry-dir)",
+        help="export metrics.json into the telemetry directory "
+        "(requires --telemetry-dir)",
     )
     parser.add_argument(
         "--profile",
@@ -207,19 +204,11 @@ def main(argv: list[str] | None = None) -> int:
         "(default: unbounded)",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip farm jobs an interrupted identical invocation already "
-        "retired (per the cache's run journal); prints a skipped-vs-"
-        "executed summary to stderr",
-    )
-    parser.add_argument(
         "--inject-faults",
         metavar="SPEC",
         default=None,
         help="arm the deterministic fault injector (chaos testing), e.g. "
-        "'stage=trace,mode=raise,rate=0.5,times=1,seed=7'; defaults to "
-        f"the {FAULTS_ENV_VAR} environment variable when set "
+        "'stage=trace,mode=raise,rate=0.5,times=1,seed=7' "
         "(see docs/robustness.md)",
     )
     parser.add_argument(
@@ -262,14 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--retries must be non-negative")
     if args.job_timeout is not None and args.job_timeout <= 0:
         parser.error("--job-timeout must be positive")
-    if args.resume and args.no_cache:
-        parser.error("--resume needs the persistent cache (drop --no-cache)")
-    inject_faults = args.inject_faults
-    if inject_faults is None:
-        inject_faults = os.environ.get(FAULTS_ENV_VAR) or None
-    if inject_faults is not None:
+    if args.inject_faults is not None:
         try:
-            FaultPlan.from_spec(inject_faults)
+            FaultPlan.from_spec(args.inject_faults)
         except FaultSpecError as exc:
             parser.error(f"--inject-faults: {exc}")
 
@@ -298,8 +282,7 @@ def main(argv: list[str] | None = None) -> int:
             profile=args.profile,
             retries=args.retries,
             job_timeout=args.job_timeout,
-            resume=args.resume,
-            inject_faults=inject_faults,
+            inject_faults=args.inject_faults,
         )
     )
     try:
@@ -313,14 +296,6 @@ def main(argv: list[str] | None = None) -> int:
         except (AsmError, CompileError, DiagnosticError) as exc:
             print(f"prefetch: {exc}", file=sys.stderr)
             return 1
-        if args.resume and not args.quiet:
-            farm = runner.farm_report
-            print(
-                f"[farm] resume: {farm.resumed} jobs already retired "
-                f"(skipped), {farm.executed} executed, "
-                f"{farm.hits} cache hits",
-                file=sys.stderr,
-            )
         for name in names:
             started = time.time()
             try:

@@ -73,11 +73,10 @@ class RunConfig:
     ``retries`` bounds how many times a failed farm job is requeued
     (with exponential backoff and deterministic jitter) before it is
     quarantined as dead; ``job_timeout`` is the per-attempt wall-clock
-    budget in seconds (None: unbounded).  ``resume`` skips jobs an
-    interrupted identical invocation already retired (per the run
-    journal).  ``inject_faults`` arms the deterministic fault injector
-    with a spec string (see :mod:`repro.jobs.faults`) — chaos-testing
-    only.  See ``docs/robustness.md``.
+    budget in seconds (None: unbounded).  ``inject_faults`` arms the
+    deterministic fault injector with a spec string (see
+    :mod:`repro.jobs.faults`) — chaos-testing only.  See
+    ``docs/robustness.md``.
     """
 
     max_steps: int = 150_000
@@ -90,7 +89,6 @@ class RunConfig:
     profile: bool = False
     retries: int = 2
     job_timeout: float | None = None
-    resume: bool = False
     inject_faults: str | None = None
 
 
@@ -203,7 +201,6 @@ class SuiteRunner:
                 job_timeout=self.config.job_timeout,
             ),
             faults=self.config.inject_faults,
-            resume=self.config.resume,
         )
         engine.execute(graph, self.farm_report)
 

@@ -10,9 +10,10 @@ experiments only recomputes what changed.  See ``docs/jobs.md``.
 The farm is also the pipeline's reliability substrate: artifacts carry
 sidecar checksums and corrupt entries are quarantined and re-produced,
 failed jobs are retried under a bounded :class:`RetryPolicy`, hung jobs
-are timed out, dead jobs are quarantined with full provenance, retired
-work is journaled for ``--resume``, and a deterministic fault injector
-(:mod:`repro.jobs.faults`) exercises all of it on demand.  See
+are timed out, dead jobs are quarantined with full provenance, a killed
+run is finished by rerunning it (the cache holds every job it retired),
+and a deterministic fault injector (:mod:`repro.jobs.faults`) exercises
+all of it on demand.  See
 ``docs/robustness.md``.
 """
 
@@ -24,13 +25,11 @@ from repro.jobs.engine import (
     JobGraph,
     Planner,
     RequestKeys,
-    RunJournal,
 )
 from repro.jobs.faults import FaultClause, FaultPlan, FaultSpecError, InjectedFault
 from repro.jobs.report import (
     DEAD,
     HIT,
-    RESUMED,
     RUN,
     FailureRecord,
     FarmReport,
@@ -58,11 +57,9 @@ __all__ = [
     "JobRecord",
     "JobTimeout",
     "Planner",
-    "RESUMED",
     "RUN",
     "Request",
     "RequestKeys",
     "RetryPolicy",
-    "RunJournal",
     "TraceRequest",
 ]

@@ -2,7 +2,7 @@
 
 The :class:`~repro.jobs.engine.ExecutionEngine` owns everything about a
 run that must be *policy* — retry accounting, backoff, corrupt-input
-healing, dead-job quarantine, journaling, the farm report.  A backend
+healing, dead-job quarantine, the farm report.  A backend
 owns only *mechanism*: given a ready job payload, run it somewhere and
 eventually hand back a :class:`Completion`.  The engine drives every
 backend through the same loop::

@@ -150,8 +150,8 @@ class PoolBackend:
 
         Futures that *finished* — even between the dispatcher's ``wait``
         and this condemnation — retire normally: requeuing them would
-        execute their job a second time even though its artifact and
-        journal entry already landed.  Of the rest, a crashed pool
+        execute their job a second time even though its artifact
+        already landed.  Of the rest, a crashed pool
         charges everyone (the culprit cannot be told apart from its
         pool-mates, which stays deterministic), while a timeout
         condemnation charges only the expired jobs and requeues the

@@ -9,7 +9,6 @@ Layout::
                                 trace with the same key (trace stage)
         results/<key>.json      serialized AnalysisResults (analysis stage)
         corrupt/                quarantined artifacts that failed verification
-        journal/<digest>.jsonl  per-invocation retirement journals (resume)
 
 Artifacts are immutable: a key fully determines its content (see
 :mod:`repro.jobs.keys`), so writers never need to invalidate — a new

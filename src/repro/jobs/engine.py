@@ -37,18 +37,18 @@ misspeculation — detect, discard, re-execute:
   re-enqueues the *producer* of the damaged (and now quarantined)
   artifact, then the consumer, so corruption heals instead of crashing;
 * a broken process pool (crashed worker) is rebuilt; if pools keep
-  dying the engine degrades to serial in-process execution;
-* every retired job is journaled so ``--resume`` can skip work an
-  interrupted invocation already finished.
+  dying the engine degrades to serial in-process execution.
+
+The cache is the farm's only memory: a killed invocation recovers when
+the same command is rerun, because every job that finished published its
+artifact and is a hit the second time.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from repro import telemetry
@@ -59,7 +59,7 @@ from repro.jobs.backends import Completion
 from repro.jobs.cache import ArtifactCache
 from repro.jobs.faults import FaultPlan
 from repro.jobs.graph import Job, JobGraph
-from repro.jobs.report import DEAD, HIT, RESUMED, RUN, FarmReport
+from repro.jobs.report import DEAD, HIT, RUN, FarmReport
 from repro.jobs.requests import AnalysisRequest, Request
 from repro.jobs.retry import JobTimeout, RetryPolicy
 from repro.vm.trace_io import CorruptArtifactError
@@ -67,77 +67,10 @@ from repro.vm.trace_io import CorruptArtifactError
 __all__ = [
     "Job",
     "JobGraph",
-    "RunJournal",
     "RequestKeys",
     "Planner",
     "ExecutionEngine",
 ]
-
-
-class RunJournal:
-    """Append-only log of retired job keys for one job graph.
-
-    The journal file is addressed by the graph digest, so re-running the
-    same invocation finds the same journal.  Each retirement appends one
-    JSON line and flushes, so a SIGKILL loses at most the in-flight job.
-    ``--resume`` loads the journal and skips journaled jobs whose
-    artifacts are still cached and intact.
-
-    A journal is a context manager; :meth:`close` runs on exit whether
-    the engine retired the graph or raised, so a process that executes
-    many graphs never leaks file handles.
-    """
-
-    def __init__(self, directory: str | Path, graph: JobGraph):
-        self.path = Path(directory) / f"{graph.digest()}.jsonl"
-        self._handle = None
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def load(self) -> set[str]:
-        """Previously retired job keys (tolerates a torn final line)."""
-        retired: set[str] = set()
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return retired
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn final write from a killed run
-            key = record.get("key")
-            if key:
-                retired.add(key)
-        return retired
-
-    def append(self, job: Job, seconds: float) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        line = json.dumps(
-            {
-                "key": job.key,
-                "stage": job.stage,
-                "benchmark": job.benchmark,
-                "seconds": round(seconds, 6),
-            },
-            sort_keys=True,
-        )
-        self._handle.write(line + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
 
 @dataclass(frozen=True)
@@ -370,8 +303,8 @@ class ExecutionEngine:
 
     ``retry`` bounds attempts, backoff, and per-attempt timeouts;
     ``faults`` arms the deterministic fault injector (a spec string or a
-    :class:`~repro.jobs.faults.FaultPlan`); ``resume`` skips jobs the
-    run journal shows a previous identical invocation already retired.
+    :class:`~repro.jobs.faults.FaultPlan`).  A job whose artifact is
+    already cached is a hit and never dispatched.
 
     The executor is a local process pool of ``jobs`` workers when
     ``jobs > 1``, else serial in-process execution.
@@ -383,7 +316,6 @@ class ExecutionEngine:
         jobs: int = 1,
         retry: RetryPolicy | None = None,
         faults: str | FaultPlan | None = None,
-        resume: bool = False,
     ):
         if jobs < 1:
             raise ValueError("jobs must be a positive worker count")
@@ -393,27 +325,21 @@ class ExecutionEngine:
         if isinstance(faults, str):
             faults = FaultPlan.from_spec(faults)
         self.faults = faults
-        self.resume = resume
 
     def execute(self, graph: JobGraph, report: FarmReport) -> None:
-        with RunJournal(self.cache.root / "journal", graph) as journal:
-            retired = journal.load() if self.resume else set()
-            done: set[str] = set()
-            pending: dict[str, Job] = {}
-            for job in graph:
-                if self._cached(job):
-                    status = RESUMED if job.key in retired else HIT
-                    report.record(job.key, job.stage, job.benchmark, status)
-                    done.add(job.key)
-                else:
-                    pending[job.key] = job
-            if not pending:
-                return
-            state = _RunState(graph, pending, done)
-            with telemetry.span(
-                "farm.execute", jobs=len(pending), workers=self.jobs
-            ):
-                self._execute(state, report, journal)
+        done: set[str] = set()
+        pending: dict[str, Job] = {}
+        for job in graph:
+            if self._cached(job):
+                report.record(job.key, job.stage, job.benchmark, HIT)
+                done.add(job.key)
+            else:
+                pending[job.key] = job
+        if not pending:
+            return
+        state = _RunState(graph, pending, done)
+        with telemetry.span("farm.execute", jobs=len(pending), workers=self.jobs):
+            self._execute(state, report)
         self._merge_telemetry()
 
     @staticmethod
@@ -582,19 +508,12 @@ class ExecutionEngine:
                 del state.pending[job.key]
                 changed = True
 
+    @staticmethod
     def _retire(
-        self,
-        state: _RunState,
-        report: FarmReport,
-        journal: RunJournal,
-        job: Job,
-        record: dict,
+        state: _RunState, report: FarmReport, job: Job, seconds: float
     ) -> None:
-        report.record(
-            job.key, job.stage, job.benchmark, RUN, record["seconds"]
-        )
+        report.record(job.key, job.stage, job.benchmark, RUN, seconds)
         state.done.add(job.key)
-        journal.append(job, record["seconds"])
 
     # -- the backend dispatch loop ---------------------------------------
 
@@ -632,9 +551,7 @@ class ExecutionEngine:
         )
         return self._make_backend(report), rebuilds
 
-    def _execute(
-        self, state: _RunState, report: FarmReport, journal: RunJournal
-    ) -> None:
+    def _execute(self, state: _RunState, report: FarmReport) -> None:
         backend = self._make_backend(report)
         rebuilds = 0
         try:
@@ -664,7 +581,7 @@ class ExecutionEngine:
                 self._note_queue_depth(len(state.pending) + backend.in_flight)
                 if backend.in_flight:
                     for completion in backend.poll(self._poll_budget(state)):
-                        self._settle(state, report, journal, completion)
+                        self._settle(state, report, completion)
                 elif not dispatched and not backend.broken:
                     wake_at = state.earliest_backoff()
                     if wake_at is not None:
@@ -679,16 +596,12 @@ class ExecutionEngine:
             backend.shutdown()
 
     def _settle(
-        self,
-        state: _RunState,
-        report: FarmReport,
-        journal: RunJournal,
-        completion: Completion,
+        self, state: _RunState, report: FarmReport, completion: Completion
     ) -> None:
         """Fold one backend completion into the run state."""
         job, attempt = completion.job, completion.attempt
         if completion.record is not None:
-            self._retire(state, report, journal, job, completion.record)
+            self._retire(state, report, job, completion.record["seconds"])
             return
         if not completion.charged:
             # Innocent victim of executor loss: requeue without spending
@@ -697,7 +610,7 @@ class ExecutionEngine:
             # it must retire, never execute twice.
             state.unwind_attempt(job.key)
             if self._cached(job):
-                self._retire(state, report, journal, job, {"seconds": 0.0})
+                self._retire(state, report, job, 0.0)
             else:
                 state.pending[job.key] = job
             return
@@ -705,7 +618,7 @@ class ExecutionEngine:
             # The executor died *after* the job published its artifact:
             # retiring from the cache is the only outcome that cannot
             # run the job a second time.
-            self._retire(state, report, journal, job, {"seconds": 0.0})
+            self._retire(state, report, job, 0.0)
             return
         self._handle_failure(state, report, job, attempt, completion.error)
 

@@ -39,9 +39,9 @@ Fields:
 ``secs``
     Hang duration for ``mode=hang``; default 300.
 
-Specs are armed with ``repro-experiments --inject-faults SPEC`` or the
-``REPRO_INJECT_FAULTS`` environment variable, and travel to pool workers
-inside job payloads.  See ``docs/robustness.md``.
+Specs are armed with ``repro-experiments --inject-faults SPEC`` (or
+``RunConfig.inject_faults``) and travel to pool workers inside job
+payloads.  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-#: Environment variable consulted by the CLI when --inject-faults is absent.
-ENV_VAR = "REPRO_INJECT_FAULTS"
 
 MODES = ("raise", "hang", "exit", "truncate", "garbage")
 

@@ -7,7 +7,6 @@ importing the engine that drives them.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 
@@ -36,8 +35,3 @@ class JobGraph:
 
     def __iter__(self):
         return iter(self.jobs.values())
-
-    def digest(self) -> str:
-        """Stable identity of this graph (the sorted job-key set)."""
-        material = "\n".join(sorted(self.jobs))
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()

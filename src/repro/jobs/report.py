@@ -3,10 +3,8 @@
 Every unit of work the farm considers — one (benchmark × stage × option
 set), identified by its content key — is recorded exactly once, either as
 ``run`` (the job executed and produced its artifact), ``hit`` (the
-artifact was already in the cache and the job was skipped), ``resumed``
-(the artifact was cached *and* the resume journal shows a previous
-invocation retired it), or ``dead`` (the job exhausted its retry budget
-and was quarantined).  Later sightings of the same key (e.g. a lazy load
+artifact was already in the cache and the job was skipped), or ``dead``
+(the job exhausted its retry budget and was quarantined).  Later sightings of the same key (e.g. a lazy load
 after a prefetch) are ignored, so the report reflects what the
 invocation actually had to do.
 
@@ -28,7 +26,6 @@ STAGES = ("compile", "trace", "analyze")
 
 RUN = "run"
 HIT = "hit"
-RESUMED = "resumed"
 DEAD = "dead"
 
 #: Failure kinds carried by :class:`FailureRecord`.
@@ -42,7 +39,7 @@ class JobRecord:
     key: str
     stage: str
     benchmark: str
-    status: str  # RUN, HIT, RESUMED, or DEAD
+    status: str  # RUN, HIT, or DEAD
     seconds: float = 0.0
     #: Monotonic timestamp of when the outcome was recorded; with
     #: ``seconds`` this bounds the job's wall-clock window.
@@ -86,7 +83,7 @@ class FarmReport:
             key, stage, benchmark, status, seconds, time.perf_counter()
         )
         if telemetry.enabled():
-            if status in (HIT, RESUMED):
+            if status == HIT:
                 telemetry.METRICS.counter("repro_jobs_cache_hits_total").inc(
                     stage=stage
                 )
@@ -143,10 +140,6 @@ class FarmReport:
     @property
     def hits(self) -> int:
         return sum(1 for r in self.records.values() if r.status == HIT)
-
-    @property
-    def resumed(self) -> int:
-        return sum(1 for r in self.records.values() if r.status == RESUMED)
 
     @property
     def dead(self) -> int:
@@ -211,7 +204,7 @@ class FarmReport:
         """Percent of jobs satisfied from the cache (100.0 if no jobs)."""
         if not self.records:
             return 100.0
-        return 100.0 * (self.hits + self.resumed) / self.total
+        return 100.0 * self.hits / self.total
 
     # -- rendering -----------------------------------------------------
 
@@ -248,9 +241,7 @@ class FarmReport:
             if not stage_records:
                 continue
             ran = sum(1 for r in stage_records if r.status == RUN)
-            skipped = sum(
-                1 for r in stage_records if r.status in (HIT, RESUMED)
-            )
+            skipped = sum(1 for r in stage_records if r.status == HIT)
             dead = sum(1 for r in stage_records if r.status == DEAD)
             hit_pct = 100.0 * skipped / len(stage_records)
             dead_text = f", {dead} dead" if dead else ""
@@ -260,11 +251,10 @@ class FarmReport:
                 f"cpu {self.seconds_in(stage):.2f}s, "
                 f"wall {self.wall_in(stage):.2f}s"
             )
-        resumed_text = f", {self.resumed} resumed" if self.resumed else ""
         dead_text = f", {self.dead} dead" if self.dead else ""
         lines.append(
             f"[farm] total {self.total} jobs: {self.executed} executed, "
-            f"{self.hits} cache hits{resumed_text}{dead_text} "
+            f"{self.hits} cache hits{dead_text} "
             f"(hit rate {self.hit_rate:.1f}%)"
         )
         if self.failures:

@@ -5,7 +5,7 @@ Three instruments, all off by default and all no-ops when off:
 * **spans** — hierarchical wall-time regions written as JSON lines to a
   telemetry directory (:func:`span` / :func:`traced`);
 * **metrics** — process-wide counters/gauges/histograms in the
-  :data:`METRICS` registry, exported as JSON and Prometheus text
+  :data:`METRICS` registry, exported as JSON
   (:mod:`repro.telemetry.metrics`);
 * **profiling** — opt-in :mod:`cProfile` capture around stages
   (:func:`profiled`, armed by ``--profile``).
@@ -55,7 +55,7 @@ __all__ = [
 
 
 def write_metrics(directory=None):
-    """Export ``metrics.json`` + ``metrics.prom`` (default: telemetry dir)."""
+    """Export ``metrics.json`` (default: telemetry dir); return its path."""
     target = directory if directory is not None else telemetry_dir()
     if target is None:
         raise ValueError(

@@ -6,14 +6,13 @@ fetched — creation is idempotent) by name::
     METRICS.counter("repro_jobs_cache_hits_total", "...", ("stage",)).inc(stage="trace")
     METRICS.gauge("repro_analyzer_instructions_per_second", "...", ("program", "engine"))
 
-and exported in two formats: a JSON document (``metrics.json``) for the
-``repro-stats`` CLI, and the Prometheus text exposition format
-(``metrics.prom``) for scrape-style consumers.  Every update is a couple
+and exported as a JSON document (``metrics.json``) for the
+``repro-stats`` CLI and CI.  Every update is a couple
 of dict operations, so hot code samples values at stage or segment
 boundaries and hands them over — never per instruction.
 
 The standard pipeline metrics are registered eagerly at import (see
-:data:`STANDARD_METRICS`), so both export files always contain the full
+:data:`STANDARD_METRICS`), so the export always contains the full
 registry of names even for stages that did not run.
 """
 
@@ -22,35 +21,8 @@ from __future__ import annotations
 from pathlib import Path
 import json
 
-#: Default histogram buckets (seconds-flavored, Prometheus-style).
+#: Default histogram buckets (seconds-flavored).
 DEFAULT_BUCKETS = (0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0)
-
-
-def _escape_help(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _escape_label_value(text: str) -> str:
-    return (
-        text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def _format_value(value: float) -> str:
-    if isinstance(value, float):
-        # The Prometheus exposition format spells non-finite values
-        # +Inf / -Inf / NaN; Python's repr ("inf", "nan") is rejected by
-        # conforming parsers.
-        if value != value:
-            return "NaN"
-        if value == float("inf"):
-            return "+Inf"
-        if value == float("-inf"):
-            return "-Inf"
-        if value.is_integer():
-            return str(int(value))
-        return repr(value)
-    return str(value)
 
 
 def _label_key(labelnames: tuple[str, ...], labels: dict) -> tuple:
@@ -59,16 +31,6 @@ def _label_key(labelnames: tuple[str, ...], labels: dict) -> tuple:
             f"expected labels {labelnames}, got {tuple(sorted(labels))}"
         )
     return tuple(str(labels[name]) for name in labelnames)
-
-
-def _render_labels(labelnames: tuple[str, ...], key: tuple, extra: str = "") -> str:
-    pairs = [
-        f'{name}="{_escape_label_value(value)}"'
-        for name, value in zip(labelnames, key)
-    ]
-    if extra:
-        pairs.append(extra)
-    return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
 class Metric:
@@ -105,16 +67,6 @@ class Metric:
             ],
         }
 
-    def render_prometheus(self) -> str:
-        lines = [
-            f"# HELP {self.name} {_escape_help(self.help)}",
-            f"# TYPE {self.name} {self.kind}",
-        ]
-        for key, value in sorted(self._samples.items()):
-            labels = _render_labels(self.labelnames, key)
-            lines.append(f"{self.name}{labels} {_format_value(value)}")
-        return "\n".join(lines)
-
 
 class Counter(Metric):
     """A monotonically increasing total."""
@@ -150,7 +102,7 @@ class Gauge(Metric):
 
 
 class Histogram(Metric):
-    """Cumulative-bucket histogram (Prometheus semantics)."""
+    """Cumulative-bucket histogram: bucket *b* counts observations <= *b*."""
 
     kind = "histogram"
 
@@ -206,28 +158,6 @@ class Histogram(Metric):
                 for key, cells in sorted(self._hist.items())
             ],
         }
-
-    def render_prometheus(self) -> str:
-        lines = [
-            f"# HELP {self.name} {_escape_help(self.help)}",
-            f"# TYPE {self.name} {self.kind}",
-        ]
-        for key, cells in sorted(self._hist.items()):
-            for i, bound in enumerate(self.buckets):
-                labels = _render_labels(
-                    self.labelnames, key, f'le="{_format_value(float(bound))}"'
-                )
-                lines.append(
-                    f"{self.name}_bucket{labels} {_format_value(cells[i])}"
-                )
-            inf_labels = _render_labels(self.labelnames, key, 'le="+Inf"')
-            lines.append(
-                f"{self.name}_bucket{inf_labels} {_format_value(cells[-2])}"
-            )
-            plain = _render_labels(self.labelnames, key)
-            lines.append(f"{self.name}_sum{plain} {_format_value(cells[-1])}")
-            lines.append(f"{self.name}_count{plain} {_format_value(cells[-2])}")
-        return "\n".join(lines)
 
 
 class MetricsRegistry:
@@ -287,25 +217,16 @@ class MetricsRegistry:
             ]
         }
 
-    def render_prometheus(self) -> str:
-        blocks = [
-            self._metrics[name].render_prometheus()
-            for name in sorted(self._metrics)
-        ]
-        return "\n".join(blocks) + ("\n" if blocks else "")
-
-    def write(self, directory: str | Path) -> tuple[Path, Path]:
-        """Write ``metrics.json`` and ``metrics.prom`` under *directory*."""
+    def write(self, directory: str | Path) -> Path:
+        """Write ``metrics.json`` under *directory*; return its path."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         json_path = directory / "metrics.json"
-        prom_path = directory / "metrics.prom"
         json_path.write_text(
             json.dumps(self.to_json(), sort_keys=True, indent=1) + "\n",
             encoding="utf-8",
         )
-        prom_path.write_text(self.render_prometheus(), encoding="utf-8")
-        return json_path, prom_path
+        return json_path
 
 
 METRICS = MetricsRegistry()
@@ -324,18 +245,6 @@ STANDARD_METRICS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "repro_analyzer_instructions_per_second",
         "Trace records swept per second by the most recent analyze call",
         ("program", "engine"),
-    ),
-    (
-        "gauge",
-        "repro_analyzer_cd_cache_hit_ratio",
-        "Fused-kernel control-dependence winner-cache hit ratio (0..1)",
-        ("program",),
-    ),
-    (
-        "gauge",
-        "repro_analyzer_value_state_entries",
-        "Entries in an analyzer value-state map after a sweep",
-        ("program", "state"),
     ),
     (
         "gauge",

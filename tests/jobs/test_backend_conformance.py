@@ -3,9 +3,9 @@
 Runs the same checks against the serial and pool backends: cold-cache
 runs must produce byte-identical artifacts regardless of backend or
 scheduling order, per-attempt timeouts must condemn hung work and let
-the retry machinery recover, journal/``--resume`` must skip retired
-jobs, and deterministic fault injection must converge to the same
-artifacts everywhere.  A new backend earns its place by
+the retry machinery recover, a rerun must find every job a cache hit,
+and deterministic fault injection must converge to the same artifacts
+everywhere.  A new backend earns its place by
 passing this file unmodified.
 """
 
@@ -109,30 +109,21 @@ class TestTimeoutCondemnation:
         assert cache.has_trace(trace.key)
 
 
-class TestJournalResume:
-    def test_resume_skips_everything_already_retired(
-        self, tmp_path, backend_kwargs
-    ):
+class TestRerun:
+    def test_rerun_executes_nothing(self, tmp_path, backend_kwargs):
         cache = ArtifactCache(tmp_path / "store")
         report = FarmReport()
         graph = plan(cache, report)
         ExecutionEngine(cache, **backend_kwargs).execute(graph, report)
         assert report.executed > 0
 
-        resumed = FarmReport()
-        graph = plan(cache, resumed)
-        ExecutionEngine(cache, resume=True, **backend_kwargs).execute(
-            graph, resumed
-        )
-        assert resumed.executed == 0
-        # Every farm job came from the journal; the compile stage runs
-        # in the planner and is a plain cache hit on the second pass.
-        farm_jobs = sum(
-            1
-            for record in report.records.values()
-            if record.stage != "compile" and record.status == "run"
-        )
-        assert resumed.resumed == farm_jobs
+        rerun = FarmReport()
+        graph = plan(cache, rerun)
+        ExecutionEngine(cache, **backend_kwargs).execute(graph, rerun)
+        assert rerun.executed == 0
+        # Every job the first run executed (compile included: it runs in
+        # the planner) is a cache hit the second time.
+        assert rerun.hits == report.executed
 
 
 class TestFaultDeterminism:

@@ -1,9 +1,10 @@
-"""Telemetry must not perturb analysis results or the disabled kernels.
+"""Telemetry must not perturb analysis results or the fused kernel.
 
-The fused analyzer compiles a separate kernel variant when telemetry is
-on; these tests pin (a) result identity across legacy/fused/telemetry-on,
-(b) that the disabled kernel source carries no telemetry code at all, and
-(c) that a telemetry-on sweep actually populates the analyzer gauges.
+The fused analyzer runs one kernel whether telemetry is on or off, and
+records its span and throughput gauge around the call.  These tests pin
+(a) result identity across legacy/fused/telemetry-on, (b) that the
+kernel source carries no telemetry code at all, and (c) that a
+telemetry-on sweep populates the analyzer gauges.
 """
 
 import pytest
@@ -26,14 +27,14 @@ def run():
 
 
 class TestResultIdentity:
-    def test_fused_identical_with_telemetry_on(self, run, tmp_path):
+    def test_fused_identical_with_telemetry_enabled(self, run, tmp_path):
         analyzer, trace, predictor = run
         baseline = analyzer.analyze(trace, predictor=predictor, engine="fused")
         telemetry.configure(tmp_path)
         with_tele = analyzer.analyze(trace, predictor=predictor, engine="fused")
         assert with_tele == baseline
 
-    def test_legacy_identical_with_telemetry_on(self, run, tmp_path):
+    def test_legacy_identical_with_telemetry_enabled(self, run, tmp_path):
         analyzer, trace, predictor = run
         baseline = analyzer.analyze(trace, predictor=predictor, engine="legacy")
         telemetry.configure(tmp_path)
@@ -47,12 +48,6 @@ class TestKernelSource:
         assert "tele" not in source
         assert "cdsc" not in source
 
-    def test_telemetry_kernel_counts_cd_scans(self):
-        source = fused_kernel_source(telemetry_on=True)
-        assert "tele['cd_scans']" in source
-        assert "tele['cd_lookups']" in source
-        assert "cdsc += 1" in source
-
 
 class TestGauges:
     def test_analyzer_gauges_populated(self, run, tmp_path):
@@ -60,20 +55,10 @@ class TestGauges:
         telemetry.configure(tmp_path)
         analyzer.analyze(trace, predictor=predictor, engine="fused")
 
-        ratio = telemetry.METRICS.get("repro_analyzer_cd_cache_hit_ratio").value(
-            program="awk"
-        )
-        assert 0.0 <= ratio <= 1.0
-
         ips = telemetry.METRICS.get("repro_analyzer_instructions_per_second").value(
             program="awk", engine="fused"
         )
         assert ips > 0
-
-        entries = telemetry.METRICS.get("repro_analyzer_value_state_entries").value(
-            program="awk", state="memory"
-        )
-        assert entries > 0
 
     def test_flow_peak_gauge_set_without_telemetry(self, run):
         analyzer, trace, predictor = run

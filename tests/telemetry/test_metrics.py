@@ -48,88 +48,6 @@ class TestRegistry:
             assert METRICS.get(name) is not None, name
 
 
-class TestPrometheusRendering:
-    def test_escaping_in_help_and_label_values(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("esc_total", 'back\\slash and\nnewline', ("p",))
-        counter.inc(1, p='quo"te\\mark\nline')
-        text = registry.render_prometheus()
-        assert "# HELP esc_total back\\\\slash and\\nnewline" in text
-        assert 'p="quo\\"te\\\\mark\\nline"' in text
-
-    def test_counter_and_gauge_lines(self):
-        registry = MetricsRegistry()
-        registry.counter("hits_total", "h", ("stage",)).inc(2, stage="trace")
-        registry.gauge("depth").set(4)
-        text = registry.render_prometheus()
-        assert '# TYPE hits_total counter' in text
-        assert 'hits_total{stage="trace"} 2' in text
-        assert "depth 4" in text
-
-    def test_histogram_buckets_sum_count(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat_seconds", "l", buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(0.5)
-        hist.observe(5.0)
-        text = registry.render_prometheus()
-        assert 'lat_seconds_bucket{le="0.1"} 1' in text
-        assert 'lat_seconds_bucket{le="1"} 2' in text
-        assert 'lat_seconds_bucket{le="+Inf"} 3' in text
-        assert "lat_seconds_count 3" in text
-        assert "lat_seconds_sum 5.55" in text
-
-    def test_histogram_buckets_are_cumulative_and_capped_by_inf(self):
-        # Prometheus histograms are cumulative: each le bucket counts
-        # every observation <= le, monotonically nondecreasing, and the
-        # +Inf bucket equals _count exactly.
-        registry = MetricsRegistry()
-        hist = registry.histogram(
-            "h_seconds", "", buckets=(0.01, 0.1, 1.0, 10.0)
-        )
-        for value in (0.005, 0.005, 0.05, 0.5, 5.0, 50.0):
-            hist.observe(value)
-        text = registry.render_prometheus()
-        counts = []
-        for line in text.splitlines():
-            if line.startswith("h_seconds_bucket"):
-                counts.append(int(line.rsplit(" ", 1)[1]))
-        assert counts == sorted(counts)
-        assert 'h_seconds_bucket{le="+Inf"} 6' in text
-        assert "h_seconds_count 6" in text
-
-    def test_nonfinite_values_use_prometheus_spellings(self):
-        # The exposition format spells non-finite values +Inf/-Inf/NaN;
-        # Python's repr ('inf', 'nan') is not parseable by scrapers.
-        registry = MetricsRegistry()
-        registry.gauge("g_pos").set(float("inf"))
-        registry.gauge("g_neg").set(float("-inf"))
-        registry.gauge("g_nan").set(float("nan"))
-        text = registry.render_prometheus()
-        assert "g_pos +Inf" in text
-        assert "g_neg -Inf" in text
-        assert "g_nan NaN" in text
-        assert "inf\n" not in text  # no bare repr leaks
-
-    def test_integral_floats_render_without_fraction(self):
-        registry = MetricsRegistry()
-        registry.gauge("g_int").set(3.0)
-        registry.gauge("g_frac").set(3.25)
-        text = registry.render_prometheus()
-        assert "g_int 3\n" in text
-        assert "g_frac 3.25" in text
-
-    def test_label_escaping_round_trips_every_special(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("s_total", "", ("v",))
-        counter.inc(1, v='a"b\\c\nd')
-        line = next(
-            l for l in registry.render_prometheus().splitlines()
-            if l.startswith("s_total{")
-        )
-        assert line == 's_total{v="a\\"b\\\\c\\nd"} 1'
-
-
 class TestExports:
     def test_json_round_trip(self):
         registry = MetricsRegistry()
@@ -139,12 +57,14 @@ class TestExports:
         assert family["name"] == "c_total"
         assert family["samples"] == [{"labels": {"x": "v"}, "value": 3}]
 
-    def test_write_produces_both_files(self, tmp_path):
+    def test_write_produces_metrics_json(self, tmp_path):
         registry = MetricsRegistry()
         registry.gauge("g").set(1.5)
-        json_path, prom_path = registry.write(tmp_path)
-        assert json.loads(json_path.read_text())["metrics"][0]["name"] == "g"
-        assert "g 1.5" in prom_path.read_text()
+        json_path = registry.write(tmp_path)
+        assert json_path == tmp_path / "metrics.json"
+        [family] = json.loads(json_path.read_text())["metrics"]
+        assert family["samples"] == [{"labels": {}, "value": 1.5}]
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
 
     def test_samples_are_deterministically_ordered(self):
         registry = MetricsRegistry()
@@ -153,3 +73,35 @@ class TestExports:
         counter.inc(1, k="alpha")
         labels = [s["labels"]["k"] for s in counter.to_json()["samples"]]
         assert labels == ["alpha", "zeta"]
+
+
+class TestPrometheusRendering:
+    """Histograms keep the Prometheus bucket convention in ``to_json()``:
+    cumulative ``le`` buckets, an implicit +Inf bucket equal to ``count``,
+    and a running ``sum``."""
+
+    def test_histogram_buckets_sum_count(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat_seconds", "l", buckets=(0.1, 1.0))
+        hist.observe(0.05)
+        hist.observe(0.5)
+        hist.observe(5.0)
+        [sample] = registry.to_json()["metrics"][0]["samples"]
+        assert sample["buckets"] == {"0.1": 1, "1.0": 2}
+        assert sample["count"] == 3
+        assert sample["sum"] == pytest.approx(5.55)
+
+    def test_histogram_buckets_are_cumulative_and_capped_by_inf(self):
+        # Buckets are cumulative: each bound counts every observation
+        # <= bound, monotonically nondecreasing, and "count" (the
+        # implicit +Inf bucket) counts every observation.
+        registry = MetricsRegistry()
+        hist = registry.histogram(
+            "h_seconds", "", buckets=(0.01, 0.1, 1.0, 10.0)
+        )
+        for value in (0.005, 0.005, 0.05, 0.5, 5.0, 50.0):
+            hist.observe(value)
+        [sample] = registry.to_json()["metrics"][0]["samples"]
+        assert sample["buckets"] == {"0.01": 2, "0.1": 3, "1.0": 4, "10.0": 5}
+        assert sample["count"] == 6
+        assert sample["sum"] == pytest.approx(55.56)
