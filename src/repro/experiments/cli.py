@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         default=None,
         help="write observability output (spans.jsonl, metrics, profiles) "
-        "under DIR; inspect it with repro-stats",
+        "under DIR; inspect it with repro-trace",
     )
     parser.add_argument(
         "--metrics",
@@ -305,8 +305,10 @@ def main(argv: list[str] | None = None) -> int:
                     output = EXPERIMENTS[name].run(runner)
             except (AsmError, CompileError, DiagnosticError, DeadJobError) as exc:
                 # Diagnostic-bearing failures are reported, not raised: the
-                # rendered diagnostics carry everything a traceback would.
+                # rendered diagnostics carry everything a traceback would,
+                # and the farm report carries each dead job's provenance.
                 print(f"{name}: {exc}", file=sys.stderr)
+                _print_farm_report(runner, args.quiet)
                 return 1
             elapsed = time.time() - started
             print(output)
@@ -318,11 +320,7 @@ def main(argv: list[str] | None = None) -> int:
                 report.flush()
         if args.verbose:
             _print_flow_peaks()
-        if runner.farm_report.total and not args.quiet:
-            print(
-                runner.farm_report.render(per_job=sys.stderr.isatty()),
-                file=sys.stderr,
-            )
+        _print_farm_report(runner, args.quiet)
         if args.metrics:
             telemetry.write_metrics(args.telemetry_dir)
     finally:
@@ -330,6 +328,15 @@ def main(argv: list[str] | None = None) -> int:
         if report:
             report.close()
     return 0
+
+
+def _print_farm_report(runner: SuiteRunner, quiet: bool) -> None:
+    """The farm's report on stderr (per-job lines only on a terminal)."""
+    if runner.farm_report.total and not quiet:
+        print(
+            runner.farm_report.render(per_job=sys.stderr.isatty()),
+            file=sys.stderr,
+        )
 
 
 def _print_flow_peaks() -> None:

@@ -158,11 +158,6 @@ class SuiteRunner:
             telemetry.configure(
                 self.config.telemetry_dir, profile=self.config.profile
             )
-            # One distributed trace per invocation: every root span of
-            # this run (and, via job payloads, every farm-worker span)
-            # shares it, so repro-trace reassembles the whole run.
-            if telemetry.context.current() is None:
-                telemetry.context.set_default(telemetry.context.mint())
         self._runs: dict[str, BenchmarkRun] = {}
         self._results: dict[tuple, AnalysisResult] = {}
         self.farm_report = FarmReport()

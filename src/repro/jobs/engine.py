@@ -377,31 +377,13 @@ class ExecutionEngine:
         if self.faults is not None:
             payload["faults"] = self.faults.to_spec()
         if telemetry.enabled():
-            ctx = self._dispatch_trace_ctx()
-            if ctx is not None:
-                payload["trace_ctx"] = ctx
+            # The worker's job.<stage> span parents to the open span here
+            # (farm.execute) in the run's trace.  Only set when telemetry
+            # is on, so disabled runs ship byte-identical payloads.
+            open_span = telemetry.current_span()
+            payload["trace_id"] = getattr(open_span, "trace_id", None)
+            payload["parent_id"] = getattr(open_span, "span_id", None)
         return payload
-
-    @staticmethod
-    def _dispatch_trace_ctx() -> dict | None:
-        """Trace context stitching this dispatch into the ambient trace.
-
-        The worker's ``job.<stage>`` span parents to the innermost open
-        span here (``farm.execute``), inheriting the invocation's trace
-        id.  Only built when telemetry is enabled, so disabled runs ship
-        byte-identical payloads.
-        """
-        open_span = telemetry.current_span()
-        trace_id = getattr(open_span, "trace_id", None)
-        parent_id = getattr(open_span, "span_id", None)
-        if trace_id is None:
-            ambient = telemetry.context.current()
-            if ambient is None:
-                return None
-            trace_id = ambient.trace_id
-            if parent_id is None:
-                parent_id = ambient.parent_id
-        return telemetry.TraceContext(trace_id, parent_id).to_payload()
 
     # -- failure handling ----------------------------------------------
 

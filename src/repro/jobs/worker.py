@@ -42,11 +42,11 @@ def execute_job(payload: dict) -> dict:
     just wrote — always keyed by (seed, job key, attempt), so a chaotic
     run replays identically.
 
-    A ``trace_ctx`` payload entry carries the submitting process's
-    :class:`~repro.telemetry.context.TraceContext`: the ``job.<stage>``
-    span (and everything nested under it) is stitched into that trace,
-    so ``repro-trace`` reassembles one waterfall across the coordinator
-    and every ``worker-<pid>.jsonl`` sink.
+    ``trace_id`` and ``parent_id`` payload entries name the submitting
+    process's trace and open span: the ``job.<stage>`` span (and
+    everything nested under it) is linked into that trace, so
+    ``repro-trace`` reassembles one waterfall across the coordinator and
+    every ``worker-<pid>.jsonl`` sink.
     """
     telemetry_dir = payload.get("telemetry")
     if telemetry_dir and not telemetry.enabled():
@@ -61,12 +61,11 @@ def execute_job(payload: dict) -> dict:
         clause = plan.match(stage, payload["key"], payload.get("attempt", 1))
     if clause is not None and clause.mode in ("raise", "hang", "exit"):
         faults.trigger_before(clause, payload)
-    trace_ctx = telemetry.TraceContext.from_payload(payload.get("trace_ctx"))
     with telemetry.span(
         f"job.{stage}", benchmark=payload["benchmark"], key=payload["key"]
     ) as job_span, telemetry.profiled(f"job-{stage}-{payload['benchmark']}"):
-        if trace_ctx is not None:
-            job_span.link(trace_ctx.trace_id, trace_ctx.parent_id)
+        if "trace_id" in payload:
+            job_span.link(payload["trace_id"], payload["parent_id"])
         if stage == "trace":
             _trace_job(payload)
         elif stage == "analyze":

@@ -8,6 +8,7 @@ Usage::
     repro-lint --examples examples       # lint sources embedded in examples
     repro-lint --fail-on error ...       # only errors affect the exit code
     repro-lint --format json ...         # machine-readable output
+    repro-lint --bench all --report      # also print each static report
 
 Files ending in ``.s``/``.asm`` are assembled and run through the
 object-code verifier (``OBJ2xx``) and the whole-program static engine
@@ -22,9 +23,16 @@ that look like assembly (``.text`` / ``.func`` directives) are assembled
 and verified.  This keeps every program the documentation ships under the
 same gate as the benchmark suite.
 
+``--report`` prints the static engine's whole-program report
+(:mod:`repro.analysis.static.report`) for each program that compiled,
+from the facts the ``STA40x`` pass already computed, ahead of the
+diagnostics.
+
 Exit status (documented contract, see ``docs/diagnostics.md``): 0 when no
 diagnostic at or above the ``--fail-on`` severity (default: warning) was
-reported, 1 when at least one was, 2 on usage or input errors (argparse).
+reported, 1 when at least one was, 2 on usage or input errors (argparse):
+an unreadable FILE, an unknown ``--bench`` name, a missing ``--examples``
+directory or an example file that does not parse.
 ``--format json`` emits one JSON object on stdout with the stable fields
 ``diagnostics`` (list of :meth:`~repro.diagnostics.Diagnostic.to_json`
 objects, sorted), ``checked``, ``summary`` (counts per severity label),
@@ -45,34 +53,21 @@ from repro.diagnostics import Diagnostic, Severity, render_all, sort_diagnostics
 from repro.lang import CompileError, compile_source, lint_minic
 
 
-def _lint_assembly(text: str, name: str, trace: bool, max_steps: int) -> list[Diagnostic]:
-    try:
-        program = assemble(text, name=name)
-    except AsmError as exc:
-        return [
-            Diagnostic(
-                code="OBJ200",
-                severity=Severity.ERROR,
-                message=exc.message,
-                source=name,
-                line=exc.line,
-            )
-        ]
-    diagnostics = verify_program(program, name=name)
-    diagnostics += _static_passes(program, name, trace, max_steps)
-    return diagnostics
+def _front_end(kind: str, text: str, name: str):
+    """Assemble (``kind == "asm"``) or lint and compile one program.
 
-
-def _lint_minic_source(
-    text: str, name: str, trace: bool, max_steps: int
-) -> list[Diagnostic]:
-    diagnostics = lint_minic(text, name=name)
+    Returns the front-end and object-code verifier diagnostics, plus the
+    program, or None when it did not assemble or compile.
+    """
+    diagnostics = [] if kind == "asm" else lint_minic(text, name=name)
     if any(d.code == "MC100" for d in diagnostics):
-        return diagnostics  # did not compile; nothing further to check
+        return diagnostics, None  # did not compile; nothing further to check
+    build = assemble if kind == "asm" else compile_source
     try:
-        program = compile_source(text, name=name)
+        program = build(text, name=name)
     except (CompileError, AsmError) as exc:
-        # The front end accepted the program but codegen/assembly failed.
+        # For MiniC, the front end accepted the program but codegen or
+        # assembly failed.
         code = "OBJ200" if isinstance(exc, AsmError) else "MC100"
         diagnostics.append(
             Diagnostic(
@@ -83,22 +78,19 @@ def _lint_minic_source(
                 line=exc.line,
             )
         )
-        return diagnostics
-    diagnostics += verify_program(program, name=name)
-    diagnostics += _static_passes(program, name, trace, max_steps)
-    return diagnostics
+        return diagnostics, None
+    return diagnostics + verify_program(program, name=name), program
 
 
 def _static_passes(
-    program, name: str, trace: bool, max_steps: int
+    program, facts, name: str, trace: bool, max_steps: int
 ) -> list[Diagnostic]:
-    """The whole-program static engine (``STA40x``), plus — with *trace* —
-    the trace sanitizer (``TR3xx``) and the static-vs-dynamic differential
-    gate (``STA41x``) over one execution of the program."""
-    from repro.analysis.static import analyze_static
+    """The whole-program static engine's notes (``STA40x``) from *facts*,
+    plus — with *trace* — the trace sanitizer (``TR3xx``) and the
+    static-vs-dynamic differential gate (``STA41x``) over one execution
+    of the program."""
     from repro.analysis.static.lint import lint_static
 
-    facts = analyze_static(program)
     diagnostics = lint_static(program, name=name, facts=facts)
     if not trace:
         return diagnostics
@@ -130,11 +122,11 @@ def _looks_like_assembly(text: str) -> bool:
 
 
 def _example_sources(path: Path) -> list[tuple[str, str, str]]:
-    """(label, kind, text) for each embedded program in a ``.py`` file."""
-    try:
-        tree = ast.parse(path.read_text())
-    except SyntaxError:
-        return []
+    """(label, kind, text) for each embedded program in a ``.py`` file.
+
+    Raises :class:`SyntaxError` when the file does not parse.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
     found: list[tuple[str, str, str]] = []
     for node in tree.body:
         if not isinstance(node, ast.Assign):
@@ -153,20 +145,6 @@ def _example_sources(path: Path) -> list[tuple[str, str, str]]:
         elif _looks_like_assembly(text):
             found.append((label, "asm", text))
     return found
-
-
-def _bench_targets(names: list[str]) -> list[str]:
-    from repro.bench import SUITE
-
-    if names == ["all"]:
-        return sorted(SUITE)
-    unknown = [n for n in names if n not in SUITE]
-    if unknown:
-        raise SystemExit(
-            f"repro-lint: unknown benchmark(s): {', '.join(unknown)} "
-            f"(choices: {', '.join(sorted(SUITE))})"
-        )
-    return names
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -213,52 +191,75 @@ def main(argv: list[str] | None = None) -> int:
         default="text",
         help="output format (default: text)",
     )
+    parser.add_argument(
+        "--report",
+        action="store_true",
+        help="also print the static engine's whole-program report for "
+        "each checked program (text format only)",
+    )
     args = parser.parse_args(argv)
 
     if not args.paths and not args.bench and not args.examples:
         parser.error("nothing to lint: pass FILEs, --bench, or --examples")
+    if args.report and args.format == "json":
+        parser.error("--report renders text; it cannot be combined with "
+                     "--format json")
 
-    diagnostics: list[Diagnostic] = []
-    checked = 0
-
+    # (label, kind, text) per program; every input error exits 2 here,
+    # before any program is checked.
+    targets: list[tuple[str, str, str]] = []
     for path in args.paths:
         try:
             text = Path(path).read_text()
         except OSError as exc:
             parser.error(f"cannot read {path}: {exc.strerror or exc}")
-        checked += 1
-        if path.endswith((".s", ".asm")):
-            diagnostics += _lint_assembly(text, path, args.trace, args.max_steps)
-        else:
-            diagnostics += _lint_minic_source(
-                text, path, args.trace, args.max_steps
-            )
-
+        kind = "asm" if path.endswith((".s", ".asm")) else "minic"
+        targets.append((path, kind, text))
     if args.bench:
         from repro.bench import SUITE
 
-        for name in _bench_targets(args.bench):
-            spec = SUITE[name]
-            checked += 1
-            diagnostics += _lint_minic_source(
-                spec.source(spec.default_scale),
-                f"bench:{name}",
-                args.trace,
-                args.max_steps,
+        names = sorted(SUITE) if args.bench == ["all"] else args.bench
+        unknown = [n for n in names if n not in SUITE]
+        if unknown:
+            parser.error(
+                f"unknown benchmark(s): {', '.join(unknown)} "
+                f"(choices: {', '.join(sorted(SUITE))})"
             )
-
+        for name in names:
+            spec = SUITE[name]
+            targets.append(
+                (f"bench:{name}", "minic", spec.source(spec.default_scale))
+            )
     if args.examples:
-        for path in sorted(Path(args.examples).glob("*.py")):
-            for label, kind, text in _example_sources(path):
-                checked += 1
-                if kind == "asm":
-                    diagnostics += _lint_assembly(
-                        text, label, args.trace, args.max_steps
-                    )
-                else:
-                    diagnostics += _lint_minic_source(
-                        text, label, args.trace, args.max_steps
-                    )
+        examples = Path(args.examples)
+        if not examples.is_dir():
+            parser.error(f"--examples: no such directory: {examples}")
+        for path in sorted(examples.glob("*.py")):
+            try:
+                targets += _example_sources(path)
+            except SyntaxError as exc:
+                parser.error(
+                    f"--examples: cannot parse {path}: {exc.msg} "
+                    f"(line {exc.lineno})"
+                )
+
+    from repro.analysis.static import analyze_static
+    from repro.analysis.static.report import render_report
+
+    diagnostics: list[Diagnostic] = []
+    reports: list[str] = []
+    for label, kind, text in targets:
+        found, program = _front_end(kind, text, label)
+        diagnostics += found
+        if program is None:
+            continue
+        facts = analyze_static(program)
+        diagnostics += _static_passes(
+            program, facts, label, args.trace, args.max_steps
+        )
+        if args.report:
+            reports.append(render_report(facts))
+    checked = len(targets)
 
     diagnostics = sort_diagnostics(diagnostics)
     errors = sum(1 for d in diagnostics if d.severity >= Severity.ERROR)
@@ -294,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
     else:
+        if reports:
+            print("\n\n".join(reports))
+            print()
         if diagnostics:
             print(render_all(diagnostics))
         print(

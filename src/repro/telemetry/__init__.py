@@ -12,13 +12,12 @@ Three instruments, all off by default and all no-ops when off:
 
 Enable with :func:`configure`, typically via ``repro-experiments
 --telemetry-dir OUT [--metrics] [--profile]``; inspect with the
-``repro-stats`` CLI.  Farm worker processes write spans to per-worker
-sink files that the engine folds into the main ``spans.jsonl``
-(:func:`merge_worker_sinks`).  See ``docs/telemetry.md``.
+``repro-trace`` CLI (``--summary`` for the tables).  Farm worker
+processes write spans to per-worker sink files that the engine folds
+into the main ``spans.jsonl`` (:func:`merge_worker_sinks`).  See
+``docs/telemetry.md``.
 """
 
-from repro.telemetry import context
-from repro.telemetry.context import TraceContext
 from repro.telemetry.metrics import METRICS, MetricsRegistry, STANDARD_METRICS
 from repro.telemetry.profiler import profiled
 from repro.telemetry.sinks import load_spans, merge_worker_sinks
@@ -36,9 +35,7 @@ __all__ = [
     "METRICS",
     "MetricsRegistry",
     "STANDARD_METRICS",
-    "TraceContext",
     "configure",
-    "context",
     "current_span",
     "enabled",
     "flush",

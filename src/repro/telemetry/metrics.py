@@ -6,8 +6,8 @@ fetched — creation is idempotent) by name::
     METRICS.counter("repro_jobs_cache_hits_total", "...", ("stage",)).inc(stage="trace")
     METRICS.gauge("repro_analyzer_instructions_per_second", "...", ("program", "engine"))
 
-and exported as a JSON document (``metrics.json``) for the
-``repro-stats`` CLI and CI.  Every update is a couple
+and exported as a JSON document (``metrics.json``) for
+``repro-trace --summary`` and CI.  Every update is a couple
 of dict operations, so hot code samples values at stage or segment
 boundaries and hands them over — never per instruction.
 

@@ -15,12 +15,12 @@ JSON-serializable attributes.  Nesting uses a per-thread stack; the
 pipeline is single-threaded within a process (farm workers each get their
 own process and sink file).
 
-A *root* span (empty stack) consults :mod:`repro.telemetry.context` for
-an active :class:`~repro.telemetry.context.TraceContext`: when one is
-set, the root span adopts its ``trace_id`` and parents to its remote
-``parent_id``, which is how spans emitted in a pool worker process
-stitch under the coordinator's span that dispatched the job.  Nested
-spans inherit ``trace`` from the enclosing span.
+A *root* span (empty stack) adopts the run's trace id, minted by
+:func:`repro.telemetry.state.configure`; nested spans inherit ``trace``
+from the enclosing span.  A pool worker's ``job.<stage>`` span is
+re-parented with :meth:`Span.link` to the coordinator's span that
+dispatched the job, which is how worker spans stitch into the run's
+trace.
 
 When telemetry is disabled, :func:`span` returns a shared no-op object
 without allocating, so instrumentation sites cost one call and a bool
@@ -36,7 +36,7 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.telemetry import context, state
+from repro.telemetry import state
 
 _local = threading.local()
 _ids = itertools.count(1)
@@ -101,10 +101,7 @@ class Span:
             self.parent_id = stack[-1].span_id
             self.trace_id = stack[-1].trace_id
         else:
-            ctx = context.current()
-            if ctx is not None:
-                self.parent_id = ctx.parent_id
-                self.trace_id = ctx.trace_id
+            self.trace_id = state.STATE.trace_id
         stack.append(self)
         self._ts = time.time()
         self._start = time.perf_counter()
@@ -137,10 +134,10 @@ class Span:
     def link(self, trace_id: str | None, parent_id: str | None) -> None:
         """Explicitly re-parent this span into a distributed trace.
 
-        Overrides whatever linkage ``__enter__`` derived from the stack
-        or the ambient context; spans nested *inside* this one inherit
-        the new ``trace_id`` as usual.  Used by farm workers whose job
-        payload carries a ``trace_ctx`` from the submitting process.
+        Overrides whatever linkage ``__enter__`` derived; spans nested
+        *inside* this one inherit the new ``trace_id`` as usual.  Used by
+        farm workers whose job payload carries the submitting process's
+        ``trace_id`` and ``parent_id``.
         """
         self.trace_id = trace_id
         self.parent_id = parent_id
@@ -182,20 +179,16 @@ def record_span(name: str, duration: float, **attrs: Any) -> None:
     For hot regions that time themselves with a plain ``perf_counter``
     pair instead of entering a context manager (e.g. the VM interpreter
     loop).  The record is parented to the innermost open span
-    (inheriting its trace), falling back to the ambient
-    :class:`~repro.telemetry.context.TraceContext` when the stack is
-    empty.
+    (inheriting its trace); with no open span it is a root of the run's
+    trace.
     """
     if not state.STATE.sink.enabled:
         return
-    parent_id = trace_id = None
     stack = _stack()
     if stack:
         parent_id, trace_id = stack[-1].span_id, stack[-1].trace_id
     else:
-        ctx = context.current()
-        if ctx is not None:
-            parent_id, trace_id = ctx.parent_id, ctx.trace_id
+        parent_id, trace_id = None, state.STATE.trace_id
     state.STATE.sink.emit(
         {
             "name": name,

@@ -10,9 +10,9 @@ measurable anywhere in the pipeline.
 from __future__ import annotations
 
 import os
+import uuid
 from pathlib import Path
 
-from repro.telemetry import context
 from repro.telemetry.sinks import (
     NULL_SINK,
     SPANS_FILENAME,
@@ -24,12 +24,13 @@ from repro.telemetry.sinks import (
 class TelemetryState:
     """The process's telemetry switchboard (see :func:`configure`)."""
 
-    __slots__ = ("sink", "directory", "profile")
+    __slots__ = ("sink", "directory", "profile", "trace_id")
 
     def __init__(self):
         self.sink = NULL_SINK
         self.directory: Path | None = None
         self.profile = False
+        self.trace_id: str | None = None
 
 
 STATE = TelemetryState()
@@ -49,6 +50,11 @@ def configure(
     file concurrently).  Re-configuring with the same directory and sink
     is a no-op, so process-pool workers can call this once per job.
     ``profile=True`` arms :func:`repro.telemetry.profiler.profiled`.
+
+    A non-worker configure mints the run's 32-hex trace id, which every
+    root span of this process adopts; workers leave it alone, since
+    their job spans are linked to the submitting trace from the job
+    payload (:meth:`repro.telemetry.spans.Span.link`).
     """
     directory = Path(directory)
     if worker:
@@ -62,6 +68,8 @@ def configure(
     STATE.directory = directory
     STATE.sink = JsonlSink(path)
     STATE.profile = profile
+    if not worker:
+        STATE.trace_id = uuid.uuid4().hex
 
 
 def shutdown() -> None:
@@ -70,7 +78,7 @@ def shutdown() -> None:
     STATE.sink = NULL_SINK
     STATE.directory = None
     STATE.profile = False
-    context.clear()
+    STATE.trace_id = None
 
 
 def enabled() -> bool:

@@ -1,4 +1,4 @@
-"""``repro-trace`` — reassemble distributed traces from span files.
+"""``repro-trace`` — reassemble and summarize a telemetry directory.
 
 Usage::
 
@@ -7,15 +7,22 @@ Usage::
     repro-trace OUT --slowest 10        # flat top-10 spans by duration
     repro-trace OUT --flame             # flamegraph.pl collapsed stacks
     repro-trace OUT --critical-path     # per-stage critical-path table
-    repro-trace OUT --json              # machine-readable forest
+    repro-trace OUT --summary           # span, percentile, metric tables
+    repro-trace OUT --json              # machine-readable forest/summary
 
-Reads the same ``spans.jsonl`` + ``worker-*.jsonl`` files as
-``repro-stats``, but instead of aggregating it *stitches*: records are
-grouped by their ``trace`` id and linked ``parent`` → ``id`` into a span
-forest, across process boundaries — the ``farm.execute`` span recorded
-by ``repro-experiments`` and the ``job.analyze`` span from a pool
-worker's ``worker-<pid>.jsonl`` land in one tree when they share a
-trace id.
+Reads ``spans.jsonl`` plus any unmerged ``worker-*.jsonl`` files
+written by ``repro-experiments --telemetry-dir OUT``.  By default it
+*stitches*: records are grouped by their ``trace`` id and linked
+``parent`` → ``id`` into a span forest, across process boundaries — the
+``farm.execute`` span recorded by ``repro-experiments`` and the
+``job.analyze`` span from a pool worker's ``worker-<pid>.jsonl`` land in
+one tree when they share a trace id.
+
+``--summary`` *aggregates* instead: spans by (span name, benchmark) with
+count and total/mean/max seconds, nearest-rank p50/p95/p99 durations per
+span name, and every sampled metric from ``metrics.json`` (written with
+``--metrics``).  This is the before/after evidence format for perf
+changes — run the same experiment on both sides and diff the tables.
 
 Spans whose parent id never appears in the loaded records (the parent
 process crashed before flushing, or only a worker file was collected)
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -248,6 +256,177 @@ def _trace_header(trace_id: str, roots: list[SpanNode]) -> str:
     )
 
 
+def _benchmark_of(record: dict) -> str:
+    attrs = record.get("attrs") or {}
+    for key in ("benchmark", "program"):
+        value = attrs.get(key)
+        if value:
+            return str(value)
+    return "-"
+
+
+def aggregate_spans(records: list[dict]) -> list[dict]:
+    """Aggregate span records by (name, benchmark), sorted by total time."""
+    groups: dict[tuple[str, str], dict] = {}
+    for record in records:
+        key = (str(record.get("name", "?")), _benchmark_of(record))
+        row = groups.get(key)
+        duration = float(record.get("dur", 0.0))
+        if row is None:
+            groups[key] = {
+                "span": key[0],
+                "benchmark": key[1],
+                "count": 1,
+                "total_s": duration,
+                "max_s": duration,
+            }
+        else:
+            row["count"] += 1
+            row["total_s"] += duration
+            row["max_s"] = max(row["max_s"], duration)
+    rows = list(groups.values())
+    for row in rows:
+        row["mean_s"] = row["total_s"] / row["count"]
+    rows.sort(key=lambda r: (-r["total_s"], r["span"], r["benchmark"]))
+    return rows
+
+
+#: Percentiles of the ``--summary`` duration table.
+PERCENTILES = (50, 95, 99)
+
+
+def percentile(sorted_values: list[float], q: float) -> float:
+    """Nearest-rank percentile of pre-sorted *sorted_values* (q in 0..100).
+
+    The nearest-rank definition always returns an observed value, which
+    keeps tiny samples honest (p99 of 4 requests is the slowest request,
+    not an interpolation between two of them).
+    """
+    if not sorted_values:
+        raise ValueError("percentile of an empty sample")
+    if not 0 < q <= 100:
+        raise ValueError("q must be in (0, 100]")
+    rank = math.ceil(q / 100.0 * len(sorted_values))
+    return sorted_values[rank - 1]
+
+
+def aggregate_percentiles(records: list[dict]) -> list[dict]:
+    """Per-span-name duration percentiles, sorted by total time.
+
+    Groups by span name only (not benchmark): percentile tables answer
+    "how slow is this operation across every benchmark".
+    """
+    groups: dict[str, list[float]] = {}
+    for record in records:
+        groups.setdefault(str(record.get("name", "?")), []).append(
+            float(record.get("dur", 0.0))
+        )
+    rows = []
+    for name, durations in groups.items():
+        durations.sort()
+        row = {
+            "span": name,
+            "count": len(durations),
+            "total_s": sum(durations),
+            "max_s": durations[-1],
+        }
+        for q in PERCENTILES:
+            row[f"p{q}_s"] = percentile(durations, q)
+        rows.append(row)
+    rows.sort(key=lambda r: (-r["total_s"], r["span"]))
+    return rows
+
+
+def _render_table(headers: list[str], rows: list[list[str]]) -> str:
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    head = "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()
+    lines = [head, "-" * len(head)]
+    for row in rows:
+        lines.append(
+            "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+        )
+    return "\n".join(lines)
+
+
+def render_span_table(rows: list[dict]) -> str:
+    body = [
+        [
+            row["span"],
+            row["benchmark"],
+            str(row["count"]),
+            f"{row['total_s']:.3f}",
+            f"{row['mean_s']:.4f}",
+            f"{row['max_s']:.4f}",
+        ]
+        for row in rows
+    ]
+    return _render_table(
+        ["span", "benchmark", "count", "total s", "mean s", "max s"], body
+    )
+
+
+def render_percentile_table(rows: list[dict]) -> str:
+    body = [
+        [row["span"], str(row["count"])]
+        + [f"{row[f'p{q}_s']:.4f}" for q in PERCENTILES]
+        + [f"{row['max_s']:.4f}"]
+        for row in rows
+    ]
+    headers = ["span", "count"] + [f"p{q} s" for q in PERCENTILES] + ["max s"]
+    return _render_table(headers, body)
+
+
+def render_metrics_table(metrics: list[dict]) -> str:
+    """One row per metric sample; metrics with no samples are omitted."""
+    rows: list[list[str]] = []
+    for metric in metrics:
+        for sample in metric.get("samples", []):
+            labels = sample.get("labels", {})
+            label_text = ",".join(
+                f"{k}={v}" for k, v in sorted(labels.items())
+            )
+            value = sample.get("value", sample.get("count", 0))
+            rows.append(
+                [metric["name"], metric["type"], label_text or "-", str(value)]
+            )
+    return _render_table(["metric", "type", "labels", "value"], rows)
+
+
+def _load_metrics(directory: Path) -> list[dict]:
+    path = directory / "metrics.json"
+    if not path.is_file():
+        return []
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    return payload.get("metrics", [])
+
+
+def _print_summary(
+    directory: Path, records: list[dict], metrics: list[dict], as_json: bool
+) -> None:
+    """The ``--summary`` tables (or their JSON document)."""
+    spans = aggregate_spans(records)
+    percentiles = aggregate_percentiles(records)
+    if as_json:
+        document = {
+            "spans": spans, "percentiles": percentiles, "metrics": metrics
+        }
+        print(json.dumps(document, sort_keys=True, indent=1))
+        return
+    print(f"telemetry: {directory} ({len(records)} spans)")
+    print()
+    print(render_span_table(spans))
+    if percentiles:
+        print()
+        print(render_percentile_table(percentiles))
+    sampled = [m for m in metrics if m.get("samples")]
+    if sampled:
+        print()
+        print(render_metrics_table(sampled))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-trace",
@@ -272,14 +451,24 @@ def main(argv: list[str] | None = None) -> int:
         help="append per-stage critical-path attribution to each trace",
     )
     parser.add_argument(
+        "--summary", action="store_true",
+        help="print the span, p50/p95/p99 and sampled-metric tables "
+        "instead of waterfalls",
+    )
+    parser.add_argument(
         "--json", action="store_true",
-        help="emit the reconstructed forest as JSON",
+        help="emit the reconstructed forest (or, with --summary, the "
+        "summary) as JSON",
     )
     parser.add_argument(
         "--allow-empty", action="store_true",
-        help="exit 0 even when DIR is missing or holds no spans",
+        help="exit 0 even when DIR is missing or holds no telemetry "
+        "(for optional-telemetry CI steps)",
     )
     args = parser.parse_args(argv)
+    # Missing/empty telemetry exits 2 so CI can distinguish "nothing was
+    # recorded" (almost always a mis-wired --telemetry-dir) from a real
+    # rendering failure (1) and from success (0).
     empty_status = 0 if args.allow_empty else 2
 
     directory = Path(args.directory)
@@ -291,10 +480,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         return empty_status
     records = load_spans(directory)
-    if not records:
+    metrics = _load_metrics(directory) if args.summary else []
+    if not records and not metrics:
         print(
-            f"repro-trace: {directory} holds no spans "
-            "(did the producing run pass --telemetry-dir?)",
+            f"repro-trace: {directory} holds no "
+            + ("spans and no metrics" if args.summary else "spans")
+            + " (did the producing run pass --telemetry-dir?)",
             file=sys.stderr,
         )
         return empty_status
@@ -312,10 +503,14 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
+        records = [r for recs in groups.values() for r in recs]
+
+    if args.summary:
+        _print_summary(directory, records, metrics, args.json)
+        return 0
 
     if args.slowest is not None:
-        flat = [r for recs in groups.values() for r in recs]
-        for record in slowest_spans(flat, args.slowest):
+        for record in slowest_spans(records, args.slowest):
             trace = record.get("trace") or UNTRACED
             print(
                 f"{float(record.get('dur', 0.0)) * 1000:10.3f} ms  "

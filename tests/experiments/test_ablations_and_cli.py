@@ -255,6 +255,28 @@ class TestRobustnessFlags:
             capsys.readouterr().err
         )
 
+    def test_dead_jobs_show_their_provenance(self, capsys, tmp_path):
+        args = [
+            "table2", "table3", "--max-steps", "100000", "--retries", "0",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--inject-faults",
+            "stage=analyze,mode=raise,times=0,rate=0.5,seed=3",
+        ]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "table3: analyze job for" in err
+        dead = re.findall(
+            r"\[farm\] failure  analyze  (\S+) +attempt 1 error: "
+            r"injected fault: .* \(gave up\)",
+            err,
+        )
+        assert dead, err
+        assert re.search(r"\[farm\] analyze: .*, \d+ dead", err), err
+        assert "[farm] total " in err
+        # --quiet keeps stderr down to the failing experiment's line.
+        assert main(args + ["--quiet"]) == 1
+        assert "[farm]" not in capsys.readouterr().err
+
     def test_warm_rerun_reports_zero_executed(self, capsys, tmp_path):
         args = [
             "table2", "--max-steps", "4000",

@@ -1,9 +1,40 @@
 """The installed console scripts must work end-to-end via subprocess."""
 
+import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+PYPROJECT = Path(__file__).resolve().parents[2] / "pyproject.toml"
+
+
+def project_scripts(text):
+    """``name -> "module:function"`` from the ``[project.scripts]`` table.
+
+    A line parser rather than ``tomllib``, which Python 3.10 lacks.
+    """
+    scripts = {}
+    in_table = False
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("["):
+            in_table = line == "[project.scripts]"
+        elif in_table and "=" in line:
+            name, target = (part.strip() for part in line.split("=", 1))
+            scripts[name] = target.strip("\"'")
+    return scripts
+
+
+class TestEntryPoints:
+    def test_every_script_target_is_callable(self):
+        scripts = project_scripts(PYPROJECT.read_text())
+        assert len(scripts) == 7, sorted(scripts)
+        for name, target in scripts.items():
+            module, function = target.split(":")
+            entry = getattr(importlib.import_module(module), function)
+            assert callable(entry), name
 
 
 def run_module(module, *args, timeout=240):

@@ -84,6 +84,33 @@ def test_unknown_bench_errors():
         main(["--bench", "no-such-benchmark"])
 
 
+class TestInputErrorsExit2:
+    """Bad inputs are usage errors (2), never "diagnostics found" (1)."""
+
+    def exit_status(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, capsys.readouterr().err
+
+    def test_unknown_bench(self, capsys):
+        code, err = self.exit_status(["--bench", "nope"], capsys)
+        assert code == 2
+        assert "unknown benchmark(s): nope" in err
+
+    def test_missing_examples_directory(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        code, err = self.exit_status(["--examples", str(missing)], capsys)
+        assert code == 2
+        assert str(missing) in err
+
+    def test_unparsable_example(self, tmp_path, capsys):
+        (tmp_path / "good.py").write_text(f"PROGRAM = {CLEAN!r}\n")
+        bad = write(tmp_path, "bad.py", "def broken(:\n")
+        code, err = self.exit_status(["--examples", str(tmp_path)], capsys)
+        assert code == 2
+        assert bad in err
+
+
 STATIC_NOTES_ASM = """
 .text
 .func main

@@ -1,68 +1,69 @@
-"""Tests for distributed trace context (repro.telemetry.context)."""
+"""Tests for trace linkage: the run's trace id and the job payload fields.
+
+``telemetry.configure`` mints one trace id per run, which every root span
+adopts; farm job payloads carry ``trace_id``/``parent_id`` so a worker's
+``job.<stage>`` span links under the span that dispatched it.
+"""
 
 import json
 
+import pytest
+
 from repro import telemetry
-from repro.telemetry import context
-from repro.telemetry.context import TraceContext, mint
+from repro.jobs import ArtifactCache, ExecutionEngine
+from repro.jobs.graph import Job
+from repro.jobs.worker import execute_job
+from repro.telemetry.state import STATE
 
 
-class TestTraceContext:
-    def test_mint_produces_32_hex_trace_id(self):
-        ctx = mint()
-        assert len(ctx.trace_id) == 32
-        int(ctx.trace_id, 16)  # raises unless hex
-        assert ctx.parent_id is None
+def span_records(directory):
+    telemetry.flush()
+    return [
+        json.loads(line)
+        for line in (directory / "spans.jsonl").read_text().splitlines()
+    ]
 
-    def test_child_reparents_same_trace(self):
-        ctx = TraceContext("ab" * 16, "root-1")
-        child = ctx.child("span-2")
-        assert child.trace_id == ctx.trace_id
-        assert child.parent_id == "span-2"
 
-    def test_payload_round_trip(self):
-        ctx = TraceContext("cd" * 16, "1a2b-3f")
-        assert TraceContext.from_payload(ctx.to_payload()) == ctx
-
-    def test_from_payload_tolerates_garbage(self):
-        assert TraceContext.from_payload(None) is None
-        assert TraceContext.from_payload({}) is None
-        assert TraceContext.from_payload({"parent_id": "x"}) is None
+class TestRunTraceId:
+    def test_configure_mints_32_hex_trace_id(self, tmp_path):
+        telemetry.configure(tmp_path)
+        assert len(STATE.trace_id) == 32
+        int(STATE.trace_id, 16)  # raises unless hex
 
 
 class TestAmbientContext:
-    def teardown_method(self):
-        context.clear()
+    def test_default_is_the_ambient_context(self, tmp_path):
+        assert STATE.trace_id is None  # disabled: no trace
+        telemetry.configure(tmp_path)
+        minted = STATE.trace_id
+        # A same-sink re-configure (one per farm job) keeps the run's id.
+        telemetry.configure(tmp_path)
+        assert STATE.trace_id == minted
+        # A worker's sink mints nothing: its job spans are linked.
+        telemetry.configure(tmp_path, worker=True)
+        assert STATE.trace_id == minted
+        # A new run (a new sink) gets a new trace.
+        telemetry.configure(tmp_path / "other")
+        assert STATE.trace_id not in (None, minted)
 
-    def test_default_is_the_ambient_context(self):
-        assert context.current() is None
-        default = mint()
-        context.set_default(default)
-        assert context.current() is default
-
-    def test_shutdown_clears_context(self):
-        context.set_default(mint())
+    def test_shutdown_clears_context(self, tmp_path):
+        telemetry.configure(tmp_path)
         telemetry.shutdown()
-        assert context.current() is None
+        assert STATE.trace_id is None
 
 
 class TestSpanIntegration:
-    """Root spans adopt the ambient context (the worker stitch point)."""
-
-    def teardown_method(self):
-        context.clear()
-
     def test_root_span_adopts_ambient_context(self, tmp_path):
         telemetry.configure(tmp_path)
-        ctx = TraceContext("12" * 16, "77-1")
-        context.set_default(ctx)
-        with telemetry.span("outer") as outer:
+        with telemetry.span("first") as first:
             with telemetry.span("inner") as inner:
                 pass
-        assert outer.trace_id == ctx.trace_id
-        assert outer.parent_id == "77-1"
-        assert inner.trace_id == ctx.trace_id
-        assert inner.parent_id == outer.span_id
+        with telemetry.span("second") as second:
+            pass
+        assert first.trace_id == second.trace_id == STATE.trace_id
+        assert first.parent_id is None and second.parent_id is None
+        assert inner.trace_id == STATE.trace_id
+        assert inner.parent_id == first.span_id
 
     def test_link_overrides_derived_parentage(self, tmp_path):
         telemetry.configure(tmp_path)
@@ -78,16 +79,39 @@ class TestSpanIntegration:
 
     def test_record_span_parents_to_the_open_span(self, tmp_path):
         telemetry.configure(tmp_path)
-        context.set_default(TraceContext("cd" * 16, "remote-2"))
         telemetry.record_span("vm.run", 0.5)
         with telemetry.span("enclosing") as enclosing:
             telemetry.record_span("vm.run", 0.25)
-        telemetry.flush()
         root, nested = [
-            json.loads(line)
-            for line in (tmp_path / "spans.jsonl").read_text().splitlines()
-            if '"vm.run"' in line
+            r for r in span_records(tmp_path) if r["name"] == "vm.run"
         ]
-        assert (root["parent"], root["trace"]) == ("remote-2", "cd" * 16)
+        assert (root["parent"], root["trace"]) == (None, STATE.trace_id)
         assert nested["parent"] == enclosing.span_id
-        assert nested["trace"] == "cd" * 16
+        assert nested["trace"] == STATE.trace_id
+
+
+class TestJobPayload:
+    JOB = Job(
+        key="k1", stage="bogus", benchmark="awk", payload={"stage": "bogus"}
+    )
+
+    def payload(self, tmp_path):
+        engine = ExecutionEngine(ArtifactCache(tmp_path / "cache"))
+        return engine._payload(self.JOB, attempt=1, in_process=False)
+
+    def test_disabled_payload_has_no_trace_fields(self, tmp_path):
+        assert self.payload(tmp_path) == {"stage": "bogus", "attempt": 1}
+
+    def test_payload_fields_link_the_job_span(self, tmp_path):
+        telemetry.configure(tmp_path)
+        with telemetry.span("farm.execute") as farm:
+            payload = self.payload(tmp_path)
+        assert payload["trace_id"] == STATE.trace_id
+        assert payload["parent_id"] == farm.span_id
+        # The worker links its job span from the fields (the unknown
+        # stage fails inside the span, after the link).
+        payload.update(key="k1", benchmark="awk", trace_id="cd" * 16)
+        with pytest.raises(ValueError, match="unknown job stage"):
+            execute_job(payload)
+        [job] = [r for r in span_records(tmp_path) if r["name"] == "job.bogus"]
+        assert (job["trace"], job["parent"]) == ("cd" * 16, farm.span_id)

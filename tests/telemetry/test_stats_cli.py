@@ -1,17 +1,31 @@
-"""Tests for the ``repro-stats`` CLI (repro.telemetry.stats_cli)."""
+"""Tests for ``repro-trace --summary``: span, percentile, metric tables."""
 
 import json
 
-from repro.telemetry.stats_cli import aggregate_spans, main, render_span_table
+import pytest
+
+from repro.telemetry.trace_cli import (
+    PERCENTILES,
+    aggregate_percentiles,
+    aggregate_spans,
+    main,
+    percentile,
+    render_percentile_table,
+    render_span_table,
+)
 
 
-def span_record(name, dur, benchmark=None, program=None):
+def summary(*argv):
+    return main([*argv, "--summary"])
+
+
+def span_record(name, dur, benchmark=None, program=None, trace=None):
     attrs = {}
     if benchmark:
         attrs["benchmark"] = benchmark
     if program:
         attrs["program"] = program
-    return {"name": name, "dur": dur, "attrs": attrs}
+    return {"name": name, "dur": dur, "trace": trace, "attrs": attrs}
 
 
 def write_fixture(directory):
@@ -24,6 +38,24 @@ def write_fixture(directory):
     lines = "".join(json.dumps(r) + "\n" for r in records)
     (directory / "spans.jsonl").write_text(lines)
     return records
+
+
+def write_metrics(directory):
+    metrics = [
+        {
+            "name": "repro_jobs_cache_hits_total",
+            "type": "counter",
+            "help": "",
+            "samples": [{"labels": {"stage": "trace"}, "value": 4}],
+        },
+        {
+            "name": "repro_jobs_dead_total",
+            "type": "counter",
+            "help": "",
+            "samples": [],
+        },
+    ]
+    (directory / "metrics.json").write_text(json.dumps({"metrics": metrics}))
 
 
 class TestAggregate:
@@ -56,24 +88,24 @@ class TestAggregate:
 
 class TestCli:
     def test_missing_directory_exits_2(self, tmp_path, capsys):
-        assert main([str(tmp_path / "absent")]) == 2
+        assert summary(str(tmp_path / "absent")) == 2
         assert "no such directory" in capsys.readouterr().err
 
     def test_missing_directory_allow_empty(self, tmp_path, capsys):
-        assert main([str(tmp_path / "absent"), "--allow-empty"]) == 0
+        assert summary(str(tmp_path / "absent"), "--allow-empty") == 0
         assert "no such directory" in capsys.readouterr().err
 
     def test_empty_directory_exits_2(self, tmp_path, capsys):
-        assert main([str(tmp_path)]) == 2
+        assert summary(str(tmp_path)) == 2
         assert "no spans and no metrics" in capsys.readouterr().err
 
     def test_empty_directory_allow_empty(self, tmp_path, capsys):
-        assert main([str(tmp_path), "--allow-empty"]) == 0
+        assert summary(str(tmp_path), "--allow-empty") == 0
         assert "no spans and no metrics" in capsys.readouterr().err
 
     def test_renders_fixture_directory(self, tmp_path, capsys):
         write_fixture(tmp_path)
-        assert main([str(tmp_path)]) == 0
+        assert summary(str(tmp_path)) == 0
         out = capsys.readouterr().out
         assert "(4 spans)" in out
         assert "trace.save" in out
@@ -81,45 +113,58 @@ class TestCli:
         # trace.save has the largest total: first data row.
         data_rows = out.splitlines()[4:]
         assert data_rows[0].startswith("trace.save")
+        # The percentile table always follows the span table.
+        assert "p50 s" in out and "p95 s" in out and "p99 s" in out
 
     def test_json_output_parses(self, tmp_path, capsys):
         write_fixture(tmp_path)
-        assert main([str(tmp_path), "--json"]) == 0
+        assert summary(str(tmp_path), "--json") == 0
         doc = json.loads(capsys.readouterr().out)
         assert {row["span"] for row in doc["spans"]} >= {
             "trace.save",
             "analyzer.analyze",
         }
 
-    def test_top_limits_rows(self, tmp_path, capsys):
-        write_fixture(tmp_path)
-        assert main([str(tmp_path), "--top", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "trace.save" in out
-        assert "analyzer.analyze" not in out
-
     def test_metrics_table_rendered_when_present(self, tmp_path, capsys):
         write_fixture(tmp_path)
-        (tmp_path / "metrics.json").write_text(
-            json.dumps(
-                {
-                    "metrics": [
-                        {
-                            "name": "repro_jobs_cache_hits_total",
-                            "type": "counter",
-                            "help": "",
-                            "samples": [
-                                {"labels": {"stage": "trace"}, "value": 4}
-                            ],
-                        }
-                    ]
-                }
-            )
-        )
-        assert main([str(tmp_path)]) == 0
+        write_metrics(tmp_path)
+        assert summary(str(tmp_path)) == 0
         out = capsys.readouterr().out
         assert "repro_jobs_cache_hits_total" in out
         assert "stage=trace" in out
+        # Only sampled metrics get table rows.
+        assert "repro_jobs_dead_total" not in out
+
+    def test_json_carries_every_metric(self, tmp_path, capsys):
+        write_fixture(tmp_path)
+        write_metrics(tmp_path)
+        assert summary(str(tmp_path), "--json") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"spans", "percentiles", "metrics"}
+        assert [m["name"] for m in doc["metrics"]] == [
+            "repro_jobs_cache_hits_total",
+            "repro_jobs_dead_total",
+        ]
+
+    def test_metrics_alone_are_not_empty(self, tmp_path, capsys):
+        write_metrics(tmp_path)
+        assert summary(str(tmp_path)) == 0
+        assert "(0 spans)" in capsys.readouterr().out
+
+    def test_trace_prefix_filters_the_summary(self, tmp_path, capsys):
+        records = [
+            span_record("kept", 1.0, trace="11" * 16),
+            span_record("dropped", 2.0, trace="22" * 16),
+        ]
+        (tmp_path / "spans.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records)
+        )
+        assert summary(str(tmp_path), "--trace", "11") == 0
+        out = capsys.readouterr().out
+        assert "(1 spans)" in out
+        assert "kept" in out
+        assert "dropped" not in out
+        assert summary(str(tmp_path), "--trace", "ff") == 1
 
 
 class TestRendering:
@@ -133,8 +178,6 @@ class TestRendering:
 
 class TestPercentiles:
     def test_nearest_rank_values(self):
-        from repro.telemetry.stats_cli import percentile
-
         values = sorted(float(v) for v in range(1, 101))  # 1.0 .. 100.0
         assert percentile(values, 50) == 50.0
         assert percentile(values, 95) == 95.0
@@ -143,30 +186,20 @@ class TestPercentiles:
         assert percentile([7.0], 99) == 7.0
 
     def test_single_sample_is_every_percentile(self):
-        from repro.telemetry.stats_cli import PERCENTILES, percentile
-
         for q in PERCENTILES:
             assert percentile([0.42], q) == 0.42
 
     def test_all_equal_samples(self):
-        from repro.telemetry.stats_cli import percentile
-
         values = [2.5] * 17
         for q in (1, 50, 95, 99, 100):
             assert percentile(values, q) == 2.5
 
     def test_two_samples_split_at_p50(self):
-        from repro.telemetry.stats_cli import percentile
-
         assert percentile([1.0, 9.0], 50) == 1.0
         assert percentile([1.0, 9.0], 51) == 9.0
         assert percentile([1.0, 9.0], 100) == 9.0
 
     def test_percentile_rejects_bad_input(self):
-        import pytest
-
-        from repro.telemetry.stats_cli import percentile
-
         with pytest.raises(ValueError):
             percentile([], 50)
         with pytest.raises(ValueError):
@@ -175,8 +208,6 @@ class TestPercentiles:
             percentile([1.0], 101)
 
     def test_aggregate_groups_by_span_name_only(self):
-        from repro.telemetry.stats_cli import aggregate_percentiles
-
         rows = aggregate_percentiles(
             [
                 span_record("s", 1.0, benchmark="awk"),
@@ -191,11 +222,6 @@ class TestPercentiles:
         assert by_name["t"]["count"] == 1
 
     def test_percentile_table_rendering(self):
-        from repro.telemetry.stats_cli import (
-            aggregate_percentiles,
-            render_percentile_table,
-        )
-
         rows = aggregate_percentiles(
             [span_record("experiment", d / 10) for d in range(1, 11)]
         )
@@ -204,16 +230,9 @@ class TestPercentiles:
         assert "p50 s" in text and "p95 s" in text and "p99 s" in text
         assert "experiment" in text
 
-    def test_cli_percentiles_flag(self, tmp_path, capsys):
-        write_fixture(tmp_path)
-        assert main([str(tmp_path), "--percentiles"]) == 0
-        out = capsys.readouterr().out
-        assert "p50 s" in out
-        assert "p99 s" in out
-
     def test_json_includes_percentiles(self, tmp_path, capsys):
         write_fixture(tmp_path)
-        assert main([str(tmp_path), "--json", "--percentiles"]) == 0
+        assert summary(str(tmp_path), "--json") == 0
         doc = json.loads(capsys.readouterr().out)
         row = next(r for r in doc["percentiles"] if r["span"] == "trace.save")
         assert row["count"] == 2
