@@ -45,7 +45,7 @@ def bench_one(
     trace = run_program(program, max_steps=max_steps).trace
     predictor = ProfilePredictor.from_trace(trace)
     analyzer = LimitAnalyzer(program)
-    # Warm-up runs: compile the fused kernel, build the static tables,
+    # Warm-up runs: compile the fused block handlers, build the static tables,
     # and check the engines agree before timing anything.
     fused = analyzer.analyze(trace, predictor=predictor, engine="fused")
     legacy = analyzer.analyze(trace, predictor=predictor, engine="legacy")

@@ -296,6 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         except (AsmError, CompileError, DiagnosticError) as exc:
             print(f"prefetch: {exc}", file=sys.stderr)
             return 1
+        failed = False
         for name in names:
             started = time.time()
             try:
@@ -307,9 +308,10 @@ def main(argv: list[str] | None = None) -> int:
                 # Diagnostic-bearing failures are reported, not raised: the
                 # rendered diagnostics carry everything a traceback would,
                 # and the farm report carries each dead job's provenance.
+                # The experiments after it still render what survived.
                 print(f"{name}: {exc}", file=sys.stderr)
-                _print_farm_report(runner, args.quiet)
-                return 1
+                failed = True
+                continue
             elapsed = time.time() - started
             print(output)
             print()
@@ -327,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         telemetry.shutdown()
         if report:
             report.close()
-    return 0
+    return 1 if failed else 0
 
 
 def _print_farm_report(runner: SuiteRunner, quiet: bool) -> None:

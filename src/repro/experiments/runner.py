@@ -211,16 +211,11 @@ class SuiteRunner:
         keys = self._planner.request_keys(
             request, self.config.scale, self.config.max_steps
         )
+        # A job that already died (during prefetch, or for an earlier
+        # experiment) is not run again: its fault would fire twice.
+        self._raise_if_dead(keys)
         self._retire([request], jobs=1)
-        for key in keys.all():
-            record = self.farm_report.records.get(key)
-            if record is not None and record.status == DEAD:
-                # A job is only killed after a failure is recorded for it.
-                cause = [f for f in self.farm_report.failures if f.key == key][-1]
-                raise DeadJobError(
-                    f"{record.stage} job for {record.benchmark} is dead: "
-                    f"{cause.message}"
-                )
+        self._raise_if_dead(keys)
         try:
             return load(keys)
         except CorruptArtifactError as exc:
@@ -234,6 +229,17 @@ class SuiteRunner:
                 )
             self._retire([request], jobs=1)
             return load(keys)
+
+    def _raise_if_dead(self, keys) -> None:
+        for key in keys.all():
+            record = self.farm_report.records.get(key)
+            if record is not None and record.status == DEAD:
+                # A job is only killed after a failure is recorded for it.
+                cause = [f for f in self.farm_report.failures if f.key == key][-1]
+                raise DeadJobError(
+                    f"{record.stage} job for {record.benchmark} is dead: "
+                    f"{cause.message}"
+                )
 
     def run(self, name: str) -> BenchmarkRun:
         """Compile, trace, and profile one benchmark (cached)."""

@@ -3,9 +3,9 @@
 :class:`FastVM` executes the same programs as :class:`~repro.vm.machine.VM`
 — the repo's pixie equivalent — but replaces the interpreter's giant
 ``if/elif`` opcode dispatch with *per-program generated code*, the same
-technique the fused analyzer uses for its per-shape kernels
-(:func:`repro.core.analyzer._emit_kernel`).  For each program it emits and
-compiles, once, a factory of small Python closures:
+technique the fused analyzer uses for its per-block handlers
+(:func:`repro.core.analyzer._emit_handler`).  For each program it emits
+and compiles, once, a factory of small Python closures:
 
 * one **block handler** per basic-block leader, covering the whole
   straight-line run up to and including its terminating control transfer.
@@ -341,6 +341,26 @@ def _leaders(program: Program) -> set[int]:
     return {pc for pc in leaders if 0 <= pc < n}
 
 
+def basic_blocks(program: Program) -> dict[int, range]:
+    """Each block leader's pcs: the straight-line run from the leader up
+    to and including its terminating control transfer, or up to the next
+    leader.  Shared with the fused analyzer, which generates one handler
+    per block of the same partition."""
+    n = len(program.instructions)
+    leaders = _leaders(program)
+    blocks: dict[int, range] = {}
+    for leader in sorted(leaders):
+        end = leader
+        while (
+            program.instructions[end].opcode not in _TERMINALS
+            and end + 1 < n
+            and end + 1 not in leaders
+        ):
+            end += 1
+        blocks[leader] = range(leader, end + 1)
+    return blocks
+
+
 def _emit_factory(program: Program, traced: bool) -> str:
     """Generate the handler-table factory source for one program.
 
@@ -351,7 +371,7 @@ def _emit_factory(program: Program, traced: bool) -> str:
     any dynamically computed pc dispatches correctly.
     """
     n = len(program.instructions)
-    leaders = _leaders(program)
+    blocks = basic_blocks(program)
     out: list[str] = []
     emit = out.append
     emit("def _bind(regs, memory, output, profile, cpcs, caddrs, ctakens, sc, cell):")
@@ -376,16 +396,7 @@ def _emit_factory(program: Program, traced: bool) -> str:
             emit(f"        return {block[-1] + 1}")
 
     for pc in range(n):
-        if pc in leaders:
-            block = [pc]
-            while program.instructions[block[-1]].opcode not in _TERMINALS:
-                nxt = block[-1] + 1
-                if nxt >= n or nxt in leaders:
-                    break
-                block.append(nxt)
-            emit_handler(pc, block)
-        else:
-            emit_handler(pc, [pc])
+        emit_handler(pc, list(blocks.get(pc, (pc,))))
 
     handler_list = ", ".join(f"h{pc}" for pc in range(n))
     comma = "," if n == 1 else ""
@@ -403,23 +414,9 @@ class _Decoded:
 
     def __init__(self, program: Program):
         self.program_ref = weakref.ref(program)
-        leaders = _leaders(program)
-        self.n_blocks = len(leaders)
-        n = len(program.instructions)
-        max_block = 1
-        for leader in leaders:
-            length = 1
-            pc = leader
-            while (
-                program.instructions[pc].opcode not in _TERMINALS
-                and pc + 1 < n
-                and pc + 1 not in leaders
-            ):
-                pc += 1
-                length += 1
-            if length > max_block:
-                max_block = length
-        self.max_block = max_block
+        blocks = basic_blocks(program)
+        self.n_blocks = len(blocks)
+        self.max_block = max(map(len, blocks.values()), default=1)
         self._factories: dict[bool, object] = {}
         self._sources: dict[bool, str] = {}
 

@@ -277,6 +277,22 @@ class TestRobustnessFlags:
         assert main(args + ["--quiet"]) == 1
         assert "[farm]" not in capsys.readouterr().err
 
+    def test_survivors_render_after_a_dead_experiment(self, capsys, tmp_path):
+        # table3 loses analyze jobs; table2 needs none and still renders
+        # after it, then the farm report prints once and the exit is 1.
+        args = [
+            "table3", "table2", "--max-steps", "100000", "--retries", "0",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--inject-faults",
+            "stage=analyze,mode=raise,times=0,rate=0.5,seed=3",
+        ]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "Table 2: Branch Statistics" in captured.out
+        assert "Table 3" not in captured.out
+        assert "table3: analyze job for" in captured.err
+        assert captured.err.count("[farm] total ") == 1
+
     def test_warm_rerun_reports_zero_executed(self, capsys, tmp_path):
         args = [
             "table2", "--max-steps", "4000",

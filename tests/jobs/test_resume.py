@@ -11,6 +11,7 @@ import pytest
 from repro.core import MachineModel
 from repro.experiments import RunConfig, SuiteRunner
 from repro.experiments.cli import EXPERIMENTS
+from repro.experiments.runner import DeadJobError
 from repro.jobs import (
     DEAD,
     HIT,
@@ -115,3 +116,23 @@ class TestRerunAfterDeadJobs:
         assert render(rerun) == clean
         ran = {k for k, r in rerun.farm_report.records.items() if r.status == RUN}
         assert ran == died
+
+    def test_dead_job_is_not_run_again(self, tmp_path):
+        # A job that died during prefetch raises from its DEAD record when
+        # an experiment loads it; running it again would fire its fault a
+        # second time and report the failure twice.
+        table3 = EXPERIMENTS["table3"]
+        faulty = SuiteRunner(
+            RunConfig(
+                max_steps=MAX_STEPS,
+                cache_dir=tmp_path / "store",
+                retries=0,
+                inject_faults=self.FAULTS,
+            )
+        )
+        faulty.prefetch(table3.requirements(faulty.config))
+        died = {k for k, r in faulty.farm_report.records.items() if r.status == DEAD}
+        with pytest.raises(DeadJobError):
+            table3.run(faulty)
+        failed = [failure.key for failure in faulty.farm_report.failures]
+        assert sorted(failed) == sorted(died)

@@ -43,8 +43,9 @@ class TestResultIdentity:
 
 
 class TestKernelSource:
-    def test_disabled_kernel_has_no_telemetry_code(self):
-        source = fused_kernel_source()
+    def test_disabled_kernel_has_no_telemetry_code(self, run):
+        analyzer, _, predictor = run
+        source = fused_kernel_source(analyzer.program, predictor=predictor)
         assert "tele" not in source
         assert "cdsc" not in source
 
