@@ -101,7 +101,8 @@ class _StaticTables:
     """Per-pc static facts for one (inlining, unrolling, latencies) shape.
 
     ``ops`` is what the fused engine's handler generator folds into its
-    block handlers; the tuple views are what the legacy oracle reads.
+    block handlers, with reads of registers no counted instruction writes
+    left out; the tuple views are what the legacy oracle reads.
     """
 
     ops: tuple[_Op, ...]
@@ -127,6 +128,16 @@ def _build_tables(
 ) -> _StaticTables:
     program = analysis.program
     removed = ignored_pcs(analysis, perfect_inlining, perfect_unrolling)
+    # A register no counted instruction writes holds cycle 0 for the whole
+    # sweep (removed ones write nothing), below every other source, so
+    # the handlers need not read it: under perfect inlining that is the
+    # stack pointer every stack access reads.
+    written = {
+        reg
+        for pc, instr in enumerate(program.instructions)
+        if pc not in removed
+        for reg in instr.writes
+    }
     reads: list[tuple[int, ...]] = []
     writes: list[tuple[int, ...]] = []
     is_load: list[bool] = []
@@ -149,6 +160,9 @@ def _build_tables(
         is_leader.append(analysis.is_block_leader(pc))
         ignored.append(pc in removed)
         latency.append(latencies.get(instr.kind, 1) if latencies else 1)
+        counted_reads = reads[pc]
+        if not written.issuperset(counted_reads):
+            counted_reads = tuple(r for r in counted_reads if r in written)
         if instr.is_cond_branch:
             kind = _BRANCH
         elif instr.is_computed_jump:
@@ -165,7 +179,7 @@ def _build_tables(
                 leader=is_leader[pc],
                 ignored=ignored[pc],
                 kind=kind,
-                reads=reads[pc],
+                reads=counted_reads,
                 writes=writes[pc],
                 load=instr.is_load,
                 store=instr.is_store,

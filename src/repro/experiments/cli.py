@@ -16,9 +16,12 @@ Usage::
 
 Tables and figures go to stdout; timing lines and the farm's report go
 to stderr, so stdout is byte-identical across worker counts and cache
-states.  ``--quiet`` suppresses the stderr chatter entirely, and the
-farm's per-job breakdown is only shown when stderr is a terminal (the
-stage and total summary lines always appear).
+states.  ``[farm: Xs]`` times the farm's prefetch of every artifact the
+selected experiments need; each ``[EXPERIMENT: Xs]`` line then times
+that experiment's render (plus any analysis it runs in-process).
+``--quiet`` suppresses the stderr chatter entirely, and the farm's
+per-job breakdown is only shown when stderr is a terminal (the stage
+and total summary lines always appear).
 """
 
 from __future__ import annotations
@@ -291,11 +294,19 @@ def main(argv: list[str] | None = None) -> int:
             for name in names
             for request in EXPERIMENTS[name].requirements(runner.config)
         ]
+        started = time.time()
         try:
             runner.prefetch(requests)
         except (AsmError, CompileError, DiagnosticError) as exc:
             print(f"prefetch: {exc}", file=sys.stderr)
             return 1
+        # The farm does the experiments' heavy work up front, so their
+        # own timing lines below cover rendering only.
+        timing = f"[farm: {time.time() - started:.1f}s]"
+        if not args.quiet:
+            print(timing, file=sys.stderr)
+        if report:
+            report.write(timing + "\n")
         failed = False
         for name in names:
             started = time.time()

@@ -65,7 +65,7 @@ def run(runner: SuiteRunner) -> InstructionMix:
     rows: dict[str, dict[str, float]] = {}
     for name in SUITE:
         bench_run = runner.run(name)
-        program = bench_run.analyzer.program
+        program = bench_run.program
         class_of_pc = [
             _classify(instr.kind, instr.is_return)
             for instr in program.instructions

@@ -5,6 +5,10 @@ traces, static analyses, trained predictors — and caches them so the
 table/figure modules can share one set of runs.  All experiments in a
 session therefore analyze the *same* traces, exactly as the paper derives
 every table and figure from one set of pixie runs.
+
+A benchmark's program and static analysis are built on first use: the
+farm addresses every artifact from the stored asm listing, so a render
+served from a warm cache (Tables 2 and 3, say) compiles nothing.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import shutil
 import tempfile
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,6 +25,7 @@ from repro import telemetry
 from repro.bench import SUITE, BenchmarkSpec
 from repro.core import ALL_MODELS, AnalysisResult, LimitAnalyzer, MachineModel
 from repro.diagnostics import DiagnosticError, Severity
+from repro.isa import Program
 from repro.prediction import BranchPredictor, BranchStats, ProfilePredictor
 from repro.jobs import (
     DEAD,
@@ -95,26 +101,40 @@ class RunConfig:
 class BenchmarkRun:
     """One benchmark's trace plus everything derived from it.
 
-    The trace lives in the artifact cache behind an ``opener`` producing
-    fresh streaming readers.  :attr:`trace` materializes it lazily for
-    consumers that genuinely need whole-trace columns (the verifier,
-    ablations); chunk-wise consumers call :meth:`trace_source` and never
-    pay the memory.  :attr:`stats` (Table 2) comes from the profile's
+    The trace lives in the artifact cache behind an ``opener(program)``
+    producing fresh streaming readers.  :attr:`trace` materializes it
+    lazily for consumers that genuinely need whole-trace columns (the
+    verifier, ablations); chunk-wise consumers call :meth:`trace_source`
+    and never pay the memory.  :attr:`stats` (Table 2) comes from the profile's
     counts, with no pass over the trace.
+
+    :attr:`program` and :attr:`analyzer` are built on first use, so a
+    consumer of the cached profile alone compiles nothing; opening the
+    trace compiles the program, which the reader is bound to.
     """
 
     def __init__(
         self,
         spec: BenchmarkSpec,
-        analyzer: LimitAnalyzer,
+        scale: int | None,
         predictor: ProfilePredictor,
         opener,
     ):
         self.spec = spec
-        self.analyzer = analyzer
+        self.scale = scale
         self.predictor = predictor
         self._trace: Trace | None = None
         self._opener = opener
+
+    @cached_property
+    def program(self) -> Program:
+        """The compiled benchmark (memoized per spec and scale)."""
+        return self.spec.compile(self.scale)
+
+    @cached_property
+    def analyzer(self) -> LimitAnalyzer:
+        """The limit analyzer over :attr:`program` and its static analysis."""
+        return LimitAnalyzer(self.program)
 
     @property
     def name(self) -> str:
@@ -124,13 +144,13 @@ class BenchmarkRun:
     def trace(self) -> Trace:
         """The whole trace in memory (materialized from the cache lazily)."""
         if self._trace is None:
-            self._trace = self._opener().to_trace()
+            self._trace = self.trace_source().to_trace()
         return self._trace
 
     def trace_source(self):
         """A fresh streaming :class:`~repro.vm.trace_io.TraceReader`:
         bounded memory at any budget."""
-        return self._opener()
+        return self._opener(self.program)
 
     @property
     def stats(self) -> BranchStats:
@@ -242,24 +262,22 @@ class SuiteRunner:
                 )
 
     def run(self, name: str) -> BenchmarkRun:
-        """Compile, trace, and profile one benchmark (cached)."""
+        """Trace and profile one benchmark (cached); compile on first use."""
         cached = self._runs.get(name)
         if cached is not None:
             return cached
-        spec = SUITE[name]
         with telemetry.span("runner.run", benchmark=name):
-            program = spec.compile(self.config.scale)
             # The trace stays in the cache, read through streaming readers,
             # so a 100M-step budget costs no resident memory.
             cache = self._cache
             request = TraceRequest(name)
             run = BenchmarkRun(
-                spec=spec,
-                analyzer=LimitAnalyzer(program),
+                spec=SUITE[name],
+                scale=self.config.scale,
                 predictor=self._load(
                     request, lambda keys: cache.load_profile(keys.trace)
                 ),
-                opener=lambda: self._load(
+                opener=lambda program: self._load(
                     request,
                     lambda keys: cache.open_trace_reader(keys.trace, program),
                 ),
@@ -276,7 +294,7 @@ class SuiteRunner:
         from repro.analysis.verify import verify_program
         from repro.vm.sanitize import sanitize_trace
 
-        diagnostics = verify_program(run.analyzer.program, name=run.name)
+        diagnostics = verify_program(run.program, name=run.name)
         diagnostics += sanitize_trace(
             run.trace, analysis=run.analyzer.analysis, name=run.name
         )
@@ -284,7 +302,7 @@ class SuiteRunner:
         # truncated (the runner does not record whether the VM halted), so
         # the halted-only whole-program bound is skipped; every other claim
         # is checked record for record.
-        facts = analyze_static(run.analyzer.program, run.analyzer.analysis)
+        facts = analyze_static(run.program, run.analyzer.analysis)
         result = run.analyzer.analyze(run.trace, models=[MachineModel.ORACLE])
         diagnostics += check_static_vs_dynamic(
             facts, run.trace, result=result, halted=False, name=run.name

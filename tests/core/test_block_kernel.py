@@ -20,6 +20,7 @@ from repro.core.analyzer import (
     _CALL,
     _PLAIN,
     _Op,
+    _build_tables,
     _emit_handler,
     fused_kernel_source,
 )
@@ -139,6 +140,25 @@ class TestPartialBlocks:
         )
 
 
+# f's stack accesses read $sp, which only the removed stack adjustments
+# write under perfect inlining; its lw has no other register source.
+STACK_ACCESS = """
+    li $s0, 3
+loop:
+    jal f
+    addi $s0, $s0, -1
+    bgtz $s0, loop
+    halt
+f:
+    addi $sp, $sp, -4
+    lw $t0, 0($sp)
+    addi $t0, $t0, 1
+    sw $t0, 0($sp)
+    addi $sp, $sp, 4
+    jr $ra
+"""
+
+
 class _SameDirections(TwoBit):
     """A profile predictor's directions behind a dynamic predictor's
     interface, so the engine must read its flag column."""
@@ -212,6 +232,35 @@ class TestGeneratedSource:
         two_groups = _emit_handler(spec, (op(0, (5,)), op(1, (6,), _CALL)), None)
         assert one_group.count("stack[-1]") == 1
         assert two_groups.count("stack[-1]") == 2
+
+    @pytest.mark.parametrize("inlining", [True, False])
+    def test_never_written_registers_are_not_read(self, inlining):
+        # Under perfect inlining no counted instruction writes $sp, so
+        # its time stays cycle 0 and the handler leaves the read out;
+        # with inlining off the adjustments count and the read stays.
+        program = assemble(STACK_ACCESS)
+        f = program.code_labels["f"]
+        tables = _build_tables(analyze_program(program), inlining, True, None)
+        block = tuple(tables.ops[pc] for pc in basic_blocks(program)[f])
+        spec = (tuple(ALL_MODELS), False, False, False, True)
+        source = _emit_handler(spec, block, None)
+        assert ("rta[29]" in source) is not inlining
+        assert tables.reads[f + 1] == (29,)  # the oracle still reads it
+        trace = VM(program).run().trace
+        predictor = ProfilePredictor.from_trace(trace)
+        analyzer = LimitAnalyzer(program)
+        for options in ({}, dict(window=3, collect_misprediction_stats=True)):
+            fused = analyzer.analyze(
+                trace, predictor=predictor, perfect_inlining=inlining, **options
+            )
+            legacy = analyzer.analyze(
+                trace,
+                predictor=predictor,
+                perfect_inlining=inlining,
+                engine="legacy",
+                **options,
+            )
+            assert fused == legacy, options
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))
