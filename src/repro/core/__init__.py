@@ -1,7 +1,11 @@
 """The paper's primary contribution: seven abstract machine models and the
-trace-driven parallelism limit analyzer."""
+trace-driven parallelism limit analyzer.
 
-from repro.core.analyzer import LimitAnalyzer
+:class:`LimitAnalyzer` loads :mod:`repro.core.analyzer` (and the static
+analyses it builds on) on first access (PEP 562), so the models and result
+types stay cheap to import for code that only reads cached results.
+"""
+
 from repro.core.models import ALL_MODELS, NON_SPECULATIVE_MODELS, MachineModel
 from repro.core.results import AnalysisResult, ModelResult, harmonic_mean
 from repro.core.stats import MispredictionStats, Segment
@@ -17,3 +21,11 @@ __all__ = [
     "Segment",
     "harmonic_mean",
 ]
+
+
+def __getattr__(name: str):
+    if name == "LimitAnalyzer":
+        from repro.core.analyzer import LimitAnalyzer
+
+        return LimitAnalyzer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -625,8 +625,12 @@ def _initial_state(
         if model in (MachineModel.SP, MachineModel.SP_CD):
             state[f"lmp{m}"] = 0
         if has_flow and _flow_limited(model):
+            # cb: branch retirements per cycle; nf: each full cycle -> a
+            # later cycle to probe next (a union-find "next free cycle").
             ledger: dict[int, int] = {}
-            state.update({f"cb{m}": ledger, f"cg{m}": ledger.get, f"pk{m}": 0})
+            state.update(
+                {f"cb{m}": ledger, f"cg{m}": ledger.get, f"nf{m}": {}, f"pk{m}": 0}
+            )
     if has_stats:
         seg_cycles: set[int] = set()
         state.update(
@@ -923,22 +927,35 @@ def _emit_handler(spec: tuple, block: Sequence[_Op], pred: int | None) -> str:
         emit(f"{indent}bt[{pc}] = (seq, proc, {', '.join(times)})")
 
     def flow_lines(m: int, c: str) -> list[str]:
-        # Greedy k-flow placement: bump the completion past full cycles.
+        # Greedy k-flow placement: bump the completion past full cycles,
+        # the legacy linear probe's answer.  nf{m} maps every full cycle
+        # to a later one; the walk ends at the first free cycle, and the
+        # second loop points each cycle it passed straight at that one
+        # (path compression: targets assign left to right, so the old
+        # {c}'s entry is rewritten before {c} steps on).
         return [
-            f"while cg{m}({c}, 0) >= flow_limit:",
-            f"    {c} += 1",
-            f"cb{m}[{c}] = cg{m}({c}, 0) + 1",
+            f"r_ = {c}",
+            f"while r_ in nf{m}:",
+            f"    r_ = nf{m}[r_]",
+            f"while {c} != r_:",
+            f"    nf{m}[{c}], {c} = r_, nf{m}[{c}]",
+            f"f_ = cb{m}[{c}] = cg{m}({c}, 0) + 1",
+            "if f_ >= flow_limit:",
+            f"    nf{m}[{c}] = {c} + 1",
             f"if len(cb{m}) > pk{m}:",
             f"    pk{m} = len(cb{m})",
         ]
 
     def prune_lines(m: int, clock: str) -> list[str]:
         # Drop retirement-table entries at or below the ordering floor:
-        # every later branch is clamped strictly above it.
+        # every later branch is clamped strictly above it.  A full cycle
+        # above the floor only ever points further up, so no surviving
+        # nf{m} entry skips a pruned (now free) cycle.
         return [
             f"if cb{m}:",
             f"    for k_ in [k_ for k_ in cb{m} if k_ <= {clock}]:",
             f"        del cb{m}[k_]",
+            f"        nf{m}.pop(k_, None)",
         ]
 
     def emit_branch(k: int, mpi: str | bool | None) -> None:

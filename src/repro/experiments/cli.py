@@ -36,7 +36,7 @@ from repro import telemetry
 from repro.asm import AsmError
 from repro.diagnostics import DiagnosticError
 from repro.jobs import ArtifactCache, FaultPlan, FaultSpecError
-from repro.lang import CompileError
+from repro.lang.errors import CompileError
 from repro.experiments import (
     ablations,
     fig4,

@@ -19,11 +19,11 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro import telemetry
 from repro.bench import SUITE, BenchmarkSpec
-from repro.core import ALL_MODELS, AnalysisResult, LimitAnalyzer, MachineModel
+from repro.core import ALL_MODELS, AnalysisResult, MachineModel
 from repro.diagnostics import DiagnosticError, Severity
 from repro.isa import Program
 from repro.prediction import BranchPredictor, BranchStats, ProfilePredictor
@@ -38,6 +38,9 @@ from repro.jobs import (
     TraceRequest,
 )
 from repro.vm import CorruptArtifactError, Trace
+
+if TYPE_CHECKING:
+    from repro.core.analyzer import LimitAnalyzer
 
 
 class DeadJobError(RuntimeError):
@@ -134,6 +137,8 @@ class BenchmarkRun:
     @cached_property
     def analyzer(self) -> LimitAnalyzer:
         """The limit analyzer over :attr:`program` and its static analysis."""
+        from repro.core.analyzer import LimitAnalyzer
+
         return LimitAnalyzer(self.program)
 
     @property

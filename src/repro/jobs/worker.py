@@ -20,7 +20,7 @@ import time
 
 from repro import telemetry
 from repro.bench import SUITE
-from repro.core import LimitAnalyzer, MachineModel
+from repro.core import MachineModel
 from repro.jobs import faults
 from repro.jobs.cache import ArtifactCache
 from repro.prediction import ProfilePredictor
@@ -107,6 +107,8 @@ def _trace_job(payload: dict) -> None:
 
 
 def _analysis_job(payload: dict) -> None:
+    from repro.core.analyzer import LimitAnalyzer
+
     cache = ArtifactCache(payload["cache_dir"])
     program = _program(payload)
     reader = cache.open_trace_reader(payload["trace"], program)

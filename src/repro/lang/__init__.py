@@ -10,28 +10,38 @@ assignment, ``++``/``--``), ``if``/``while``/``do``/``for``/``break``/
 The code generator follows MIPS o32 conventions so that the limit study's
 perfect-inlining and perfect-unrolling transformations apply exactly as in
 the paper (see :mod:`repro.lang.codegen`).
+
+Only :class:`CompileError` is imported eagerly.  Every other name loads its
+submodule on first access (PEP 562), so a consumer that merely catches
+compile errors — a render served from the artifact cache — never imports
+the compiler, the linter or the static analyses they build on.
 """
 
-from repro.lang.compiler import compile_source, compile_to_assembly
-from repro.lang.errors import CompileError
-from repro.lang.lexer import tokenize
-from repro.lang.lint import lint_checked, lint_minic
-from repro.lang.parser import parse
-from repro.lang.reference import ReferenceInterpreter, ReferenceResult, interpret
-from repro.lang.semantics import BUILTINS, CheckedUnit, check
+from importlib import import_module
 
-__all__ = [
-    "BUILTINS",
-    "CheckedUnit",
-    "CompileError",
-    "ReferenceInterpreter",
-    "ReferenceResult",
-    "check",
-    "compile_source",
-    "compile_to_assembly",
-    "interpret",
-    "lint_checked",
-    "lint_minic",
-    "parse",
-    "tokenize",
-]
+from repro.lang.errors import CompileError
+
+_LAZY = {
+    "BUILTINS": "semantics",
+    "CheckedUnit": "semantics",
+    "ReferenceInterpreter": "reference",
+    "ReferenceResult": "reference",
+    "check": "semantics",
+    "compile_source": "compiler",
+    "compile_to_assembly": "compiler",
+    "interpret": "reference",
+    "lint_checked": "lint",
+    "lint_minic": "lint",
+    "parse": "parser",
+    "tokenize": "lexer",
+}
+
+__all__ = ["CompileError", *sorted(_LAZY)]
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

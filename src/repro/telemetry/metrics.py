@@ -334,8 +334,8 @@ STANDARD_METRICS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     (
         "counter",
         "repro_vm_blocks_compiled_total",
-        "Basic blocks compiled into specialized VM dispatch handlers, "
-        "per program",
+        "Specialized VM dispatch handlers compiled (one per block, or per "
+        "mid-block jump landing), per program",
         ("program",),
     ),
     (

@@ -4,19 +4,22 @@
 — the repo's pixie equivalent — but replaces the interpreter's giant
 ``if/elif`` opcode dispatch with *per-program generated code*, the same
 technique the fused analyzer uses for its per-block handlers
-(:func:`repro.core.analyzer._emit_handler`).  For each program it emits
-and compiles, once, a factory of small Python closures:
+(:func:`repro.core.analyzer._emit_handler`).  Handlers are generated and
+compiled per pc on the first dispatch of that pc, and cached per program:
 
-* one **block handler** per basic-block leader, covering the whole
+* a **block handler** at each basic-block leader, covering the whole
   straight-line run up to and including its terminating control transfer.
-  Every operand — register indices, immediates, branch targets, the pc
+  Every operand — register indices, immediates, branch targets, the pcs
   recorded in the trace — is folded into the source as a literal, so the
   hot path does no ``instr.rs`` attribute walks, no opcode comparisons,
   and pays the dispatch cost (one list index + call) once per *block*
-  rather than once per instruction;
-* one **single-instruction handler** per non-leader pc, so computed jumps
-  (or a manually set ``pc``) may land mid-block and still execute
-  correctly, stepping until the next leader realigns with block dispatch.
+  rather than once per instruction.  It records its block with one
+  ``extend`` per trace column;
+* a **single-instruction handler** at a non-leader pc, made only when a
+  computed jump (or a manually set ``pc``) lands there mid-block; it steps
+  until the next leader realigns with block dispatch.
+
+Code a run never reaches is never compiled.
 
 Each handler returns the next pc.  The run loop indexes the handler
 table while the budget allows and the pc stays in code; everything else
@@ -37,6 +40,8 @@ from __future__ import annotations
 
 import time
 import weakref
+from functools import partial
+from typing import Sequence
 
 from repro import telemetry
 from repro.isa import registers
@@ -113,30 +118,24 @@ def _wrap(expr: str) -> str:
     return f"(({expr}) & 4294967295 ^ 2147483648) - 2147483648"
 
 
-def _instr_lines(program: Program, pc: int, traced: bool) -> list[str]:
+def _instr_lines(
+    program: Program, pc: int, addr: str, record: list[str]
+) -> list[str]:
     """Source lines executing the instruction at *pc* (operands folded).
 
-    Terminal instructions end with ``return``/``raise``; everything else
-    falls through to the next emitted instruction.  Semantics mirror the
-    legacy interpreter case for case — including the ``$zero`` write
-    suppression, the operand-read-before-RA-write order of ``jalr``, the
-    trap-free div/rem, and the U+FFFD substitution for surrogate PUTC
-    code points.
+    A memory access leaves its address in the local *addr*.  Terminal
+    instructions end with ``return``/``raise``, preceded by the block's
+    *record* lines (its trace columns); everything else falls through to
+    the next emitted instruction.  Semantics mirror the legacy interpreter
+    case for case — including the ``$zero`` write suppression, the
+    operand-read-before-RA-write order of ``jalr``, the trap-free div/rem,
+    and the U+FFFD substitution for surrogate PUTC code points.
     """
     instr = program.instructions[pc]
     op = instr.opcode
     n_next = pc + 1
     lines: list[str] = []
     emit = lines.append
-
-    def trace_plain() -> None:
-        if traced:
-            emit(f"ap({pc}); aa(-1); at(-1)")
-
-    def trace_mem() -> None:
-        if traced:
-            emit(f"ap({pc}); aa(a); at(-1)")
-
     rs = instr.rs
     rt = instr.rt
     rd = instr.rd
@@ -146,36 +145,28 @@ def _instr_lines(program: Program, pc: int, traced: bool) -> list[str]:
         if rd:
             expr = _BIN_OPS[op].format(rs=f"regs[{rs}]", rt=f"regs[{rt}]")
             emit(f"regs[{rd}] = {_wrap(expr)}")
-        trace_plain()
     elif op is Opcode.ADDI:
         if rd:
             emit(f"regs[{rd}] = {_wrap(f'regs[{rs}] + {imm!r}')}")
-        trace_plain()
     elif op in (Opcode.ANDI, Opcode.ORI, Opcode.XORI):
         if rd:
             sym = {Opcode.ANDI: "&", Opcode.ORI: "|", Opcode.XORI: "^"}[op]
             emit(f"regs[{rd}] = {_wrap(f'regs[{rs}] {sym} {imm!r}')}")
-        trace_plain()
     elif op is Opcode.SLLI:
         if rd:
             emit(f"regs[{rd}] = {_wrap(f'regs[{rs}] << {imm & 31}')}")
-        trace_plain()
     elif op is Opcode.SRLI:
         if rd:
             emit(f"regs[{rd}] = {_wrap(f'(regs[{rs}] & 4294967295) >> {imm & 31}')}")
-        trace_plain()
     elif op is Opcode.SRAI:
         if rd:
             emit(f"regs[{rd}] = {_wrap(f'regs[{rs}] >> {imm & 31}')}")
-        trace_plain()
     elif op in _CMP_OPS and op.value.endswith("i"):
         if rd:
             emit(f"regs[{rd}] = 1 if regs[{rs}] {_CMP_OPS[op]} {imm!r} else 0")
-        trace_plain()
     elif op in _CMP_OPS:
         if rd:
             emit(f"regs[{rd}] = 1 if regs[{rs}] {_CMP_OPS[op]} regs[{rt}] else 0")
-        trace_plain()
     elif op is Opcode.DIV:
         if rd:
             emit(f"d = regs[{rt}]")
@@ -186,7 +177,6 @@ def _instr_lines(program: Program, pc: int, traced: bool) -> list[str]:
             emit(f"    if (regs[{rs}] < 0) != (d < 0):")
             emit("        q = -q")
             emit(f"    regs[{rd}] = {_wrap('q')}")
-        trace_plain()
     elif op is Opcode.REM:
         if rd:
             emit(f"d = regs[{rt}]")
@@ -195,50 +185,41 @@ def _instr_lines(program: Program, pc: int, traced: bool) -> list[str]:
             emit("else:")
             emit(f"    r = abs(regs[{rs}]) % abs(d)")
             emit(f"    regs[{rd}] = {_wrap(f'-r if regs[{rs}] < 0 else r')}")
-        trace_plain()
     elif op is Opcode.LI:
         if rd:
             emit(f"regs[{rd}] = {imm!r}")
-        trace_plain()
     elif op is Opcode.MOV:
         if rd:
             emit(f"regs[{rd}] = regs[{rs}]")
-        trace_plain()
     elif op in (Opcode.MOVZ, Opcode.FMOVZ):
         if rd:
             emit(f"if regs[{rt}] == 0:")
             emit(f"    regs[{rd}] = regs[{rs}]")
-        trace_plain()
     elif op in (Opcode.MOVN, Opcode.FMOVN):
         if rd:
             emit(f"if regs[{rt}] != 0:")
             emit(f"    regs[{rd}] = regs[{rs}]")
-        trace_plain()
     elif op is Opcode.LW:
-        emit(f"a = regs[{rs}] + {imm!r}")
-        emit("if a < 0:")
-        emit(f'    raise VMError(f"negative memory address {{a}} at pc {pc}")')
+        emit(f"{addr} = regs[{rs}] + {imm!r}")
+        emit(f"if {addr} < 0:")
+        emit(f'    raise VMError(f"negative memory address {{{addr}}} at pc {pc}")')
         if rd:
-            emit(f"regs[{rd}] = mg(a, 0)")
-        trace_mem()
+            emit(f"regs[{rd}] = mg({addr}, 0)")
     elif op is Opcode.SW:
-        emit(f"a = regs[{rs}] + {imm!r}")
-        emit("if a < 0:")
-        emit(f'    raise VMError(f"negative memory address {{a}} at pc {pc}")')
-        emit(f"memory[a] = regs[{rt}]")
-        trace_mem()
+        emit(f"{addr} = regs[{rs}] + {imm!r}")
+        emit(f"if {addr} < 0:")
+        emit(f'    raise VMError(f"negative memory address {{{addr}}} at pc {pc}")')
+        emit(f"memory[{addr}] = regs[{rt}]")
     elif op is Opcode.FLW:
-        emit(f"a = regs[{rs}] + {imm!r}")
-        emit("if a < 0:")
-        emit(f'    raise VMError(f"negative memory address {{a}} at pc {pc}")')
-        emit(f"regs[{rd}] = float(mg(a, 0.0))")
-        trace_mem()
+        emit(f"{addr} = regs[{rs}] + {imm!r}")
+        emit(f"if {addr} < 0:")
+        emit(f'    raise VMError(f"negative memory address {{{addr}}} at pc {pc}")')
+        emit(f"regs[{rd}] = float(mg({addr}, 0.0))")
     elif op is Opcode.FSW:
-        emit(f"a = regs[{rs}] + {imm!r}")
-        emit("if a < 0:")
-        emit(f'    raise VMError(f"negative memory address {{a}} at pc {pc}")')
-        emit(f"memory[a] = float(regs[{rt}])")
-        trace_mem()
+        emit(f"{addr} = regs[{rs}] + {imm!r}")
+        emit(f"if {addr} < 0:")
+        emit(f'    raise VMError(f"negative memory address {{{addr}}} at pc {pc}")')
+        emit(f"memory[{addr}] = float(regs[{rt}])")
     elif op in _BRANCH_CONDS:
         cond = _BRANCH_CONDS[op].format(rs=rs, rt=rt)
         emit(f"t = 1 if {cond} else 0")
@@ -246,83 +227,67 @@ def _instr_lines(program: Program, pc: int, traced: bool) -> list[str]:
         emit("if c is None:")
         emit(f"    c = profile[{pc}] = [0, 0]")
         emit("c[t] += 1")
-        if traced:
-            emit(f"ap({pc}); aa(-1); at(t)")
+        lines += record
         emit(f"return {instr.target} if t else {n_next}")
     elif op is Opcode.J:
-        trace_plain()
+        lines += record
         emit(f"return {instr.target}")
     elif op is Opcode.JAL:
         emit(f"regs[{registers.RA}] = {n_next}")
-        trace_plain()
+        lines += record
         emit(f"return {instr.target}")
     elif op is Opcode.JR:
-        trace_plain()
+        lines += record
         emit(f"return regs[{rs}]")
     elif op is Opcode.JALR:
         emit(f"t = regs[{rs}]")
         emit(f"regs[{registers.RA}] = {n_next}")
-        trace_plain()
+        lines += record
         emit("return t")
     elif op is Opcode.FADD:
         emit(f"regs[{rd}] = regs[{rs}] + regs[{rt}]")
-        trace_plain()
     elif op is Opcode.FSUB:
         emit(f"regs[{rd}] = regs[{rs}] - regs[{rt}]")
-        trace_plain()
     elif op is Opcode.FMUL:
         emit(f"regs[{rd}] = regs[{rs}] * regs[{rt}]")
-        trace_plain()
     elif op is Opcode.FDIV:
         emit(f"d = regs[{rt}]")
         emit(f"regs[{rd}] = regs[{rs}] / d if d != 0.0 else 0.0")
-        trace_plain()
     elif op is Opcode.FNEG:
         emit(f"regs[{rd}] = -regs[{rs}]")
-        trace_plain()
     elif op is Opcode.FABS:
         emit(f"regs[{rd}] = abs(regs[{rs}])")
-        trace_plain()
     elif op is Opcode.FSQRT:
         emit(f"v = regs[{rs}]")
         emit(f"regs[{rd}] = v**0.5 if v >= 0.0 else 0.0")
-        trace_plain()
     elif op is Opcode.FMOV:
         emit(f"regs[{rd}] = regs[{rs}]")
-        trace_plain()
     elif op is Opcode.FLI:
         emit(f"regs[{rd}] = {float(imm)!r}")
-        trace_plain()
     elif op is Opcode.CVTIF:
         emit(f"regs[{rd}] = float(regs[{rs}])")
-        trace_plain()
     elif op is Opcode.CVTFI:
         if rd:
             emit(f"regs[{rd}] = {_wrap(f'int(regs[{rs}])')}")
-        trace_plain()
     elif op in (Opcode.FEQ, Opcode.FLT, Opcode.FLE):
         if rd:
             sym = {Opcode.FEQ: "==", Opcode.FLT: "<", Opcode.FLE: "<="}[op]
             emit(f"regs[{rd}] = 1 if regs[{rs}] {sym} regs[{rt}] else 0")
-        trace_plain()
     elif op is Opcode.NOP:
-        trace_plain()
+        pass
     elif op is Opcode.HALT:
-        trace_plain()
+        lines += record
         emit(f"cell[0] = {pc}")
         emit("raise _HALT")
     elif op is Opcode.PRINT:
         emit(f"oa(regs[{rs}])")
-        trace_plain()
     elif op is Opcode.FPRINT:
         emit(f"oa(float(regs[{rs}]))")
-        trace_plain()
     elif op is Opcode.PUTC:
         # Same surrogate clamp as the legacy interpreter: lone surrogates
         # become U+FFFD so output_text always UTF-8-encodes.
         emit(f"v = regs[{rs}] & 1114111")
         emit('oa("\\ufffd" if 55296 <= v <= 57343 else chr(v))')
-        trace_plain()
     else:  # pragma: no cover - every opcode is handled above
         raise VMError(f"unimplemented opcode {op}")
     return lines
@@ -361,88 +326,109 @@ def basic_blocks(program: Program) -> dict[int, range]:
     return blocks
 
 
-def _emit_factory(program: Program, traced: bool) -> str:
-    """Generate the handler-table factory source for one program.
+#: Opcodes whose trace record carries a memory address.
+_MEMORY = frozenset((Opcode.LW, Opcode.SW, Opcode.FLW, Opcode.FSW))
 
-    The factory binds the run's mutable state (registers, memory, trace
-    columns, profile, step/halt cells) into ~2n closures and returns the
-    pc-indexed handler tuple.  Handlers for block leaders execute whole
-    basic blocks; handlers for interior pcs execute one instruction, so
-    any dynamically computed pc dispatches correctly.
+#: The run state every handler factory binds, in its parameter order.
+_STATE = (
+    "regs", "memory", "profile", "sc", "cell", "mg", "pg", "oa", "ep", "ea", "et"
+)
+
+#: Globals of the generated handlers.
+_HANDLER_GLOBALS = {"VMError": VMError, "_HALT": _HALT_SIGNAL}
+
+
+def _tup(items: list[str]) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _emit_handler(program: Program, span: Sequence[int], traced: bool) -> str:
+    """Generate the factory source of the handler for the pcs in *span*.
+
+    ``_bind(<the _STATE names>)`` binds one run's mutable state into the
+    handler ``h<pc>`` and returns it.  The handler executes the whole
+    span, a basic block or one instruction, and returns the next pc.  A
+    traced handler records the span with one ``extend`` per trace column:
+    its pcs are a constant, its addresses and taken flags a tuple of the
+    span's locals and ``-1``s.
     """
-    n = len(program.instructions)
-    blocks = basic_blocks(program)
-    out: list[str] = []
-    emit = out.append
-    emit("def _bind(regs, memory, output, profile, cpcs, caddrs, ctakens, sc, cell):")
+    pcs = list(span)
+    record: list[str] = []
     if traced:
-        emit("    ap = cpcs.append")
-        emit("    aa = caddrs.append")
-        emit("    at = ctakens.append")
-    emit("    mg = memory.get")
-    emit("    pg = profile.get")
-    emit("    oa = output.append")
-
-    def emit_handler(pc: int, block: list[int]) -> None:
-        emit(f"    def h{pc}():")
-        emit(f"        sc[0] += {len(block)}")
-        terminal = False
-        for member in block:
-            for line in _instr_lines(program, member, traced):
-                emit(f"        {line}")
-        last = program.instructions[block[-1]].opcode
-        terminal = last in _TERMINALS
-        if not terminal:
-            emit(f"        return {block[-1] + 1}")
-
-    for pc in range(n):
-        emit_handler(pc, list(blocks.get(pc, (pc,))))
-
-    handler_list = ", ".join(f"h{pc}" for pc in range(n))
-    comma = "," if n == 1 else ""
-    emit(f"    return ({handler_list}{comma})")
-    emit("")
+        instructions = program.instructions
+        addrs = [
+            f"a{k}" if instructions[pc].opcode in _MEMORY else "-1"
+            for k, pc in enumerate(pcs)
+        ]
+        takens = ["-1"] * len(pcs)
+        if instructions[pcs[-1]].opcode in _BRANCH_CONDS:
+            takens[-1] = "t"
+        record = [
+            f"ep({_tup([str(pc) for pc in pcs])})",
+            f"ea({_tup(addrs)})",
+            f"et({_tup(takens)})",
+        ]
+    out = [f"def _bind({', '.join(_STATE)}):", f"    def h{pcs[0]}():"]
+    out.append(f"        sc[0] += {len(pcs)}")
+    for k, pc in enumerate(pcs):
+        lines = _instr_lines(program, pc, f"a{k}", record)
+        out.extend(f"        {line}" for line in lines)
+    if program.instructions[pcs[-1]].opcode not in _TERMINALS:
+        out.extend(f"        {line}" for line in record)
+        out.append(f"        return {pcs[-1] + 1}")
+    out.append(f"    return h{pcs[0]}")
+    out.append("")
     return "\n".join(out)
 
 
 class _Decoded:
-    """Per-program compiled artifacts, shared across FastVM instances."""
+    """Per-program compiled handlers, shared across FastVM instances.
 
-    __slots__ = (
-        "program_ref", "max_block", "n_blocks", "_factories", "_sources"
-    )
+    A pc's handler factory is generated and compiled the first time a run
+    dispatches that pc: a block handler at a leader, a one-instruction
+    handler where a computed jump lands mid-block.  Code that never runs
+    is never compiled.
+    """
+
+    __slots__ = ("program_ref", "blocks", "max_block", "_factories")
 
     def __init__(self, program: Program):
         self.program_ref = weakref.ref(program)
-        blocks = basic_blocks(program)
-        self.n_blocks = len(blocks)
-        self.max_block = max(map(len, blocks.values()), default=1)
-        self._factories: dict[bool, object] = {}
-        self._sources: dict[bool, str] = {}
+        self.blocks = basic_blocks(program)
+        self.max_block = max(map(len, self.blocks.values()), default=1)
+        self._factories: dict[bool, dict[int, object]] = {True: {}, False: {}}
 
-    def factory(self, traced: bool):
-        cached = self._factories.get(traced)
+    def span(self, pc: int) -> Sequence[int]:
+        return self.blocks.get(pc, (pc,))
+
+    def factory(self, traced: bool, pc: int):
+        """The compiled handler factory for the span starting at *pc*."""
+        factories = self._factories[traced]
+        cached = factories.get(pc)
         if cached is None:
             program = self.program_ref()
-            source = _emit_factory(program, traced)
-            namespace = {"VMError": VMError, "_HALT": _HALT_SIGNAL}
+            source = _emit_handler(program, self.span(pc), traced)
             variant = "traced" if traced else "untraced"
+            namespace: dict[str, object] = {}
             exec(
-                compile(source, f"<fastvm {program.name} {variant}>", "exec"),
+                compile(source, f"<fastvm {program.name} {variant} {pc}>", "exec"),
+                _HANDLER_GLOBALS,
                 namespace,
             )
-            cached = namespace["_bind"]
-            self._factories[traced] = cached
-            self._sources[traced] = source
+            cached = factories[pc] = namespace["_bind"]
             if telemetry.enabled():
                 telemetry.METRICS.counter(
                     "repro_vm_blocks_compiled_total"
-                ).inc(self.n_blocks, program=program.name)
+                ).inc(program=program.name)
         return cached
 
     def source(self, traced: bool) -> str:
-        self.factory(traced)
-        return self._sources[traced]
+        """Every pc's handler factory, in pc order."""
+        program = self.program_ref()
+        return "\n".join(
+            _emit_handler(program, self.span(pc), traced)
+            for pc in range(len(program.instructions))
+        )
 
 
 _DECODE_CACHE: dict[int, tuple[weakref.ref, _Decoded]] = {}
@@ -517,23 +503,34 @@ class FastVM:
         profile: dict[int, list[int]] = {}
         sc = [0]
         cell = [0]
-        handlers = self._decoded.factory(trace)(
+        decoded = self._decoded
+        state = (
             self.regs,
             self.memory,
-            self.output,
             profile,
-            cpcs,
-            caddrs,
-            ctakens,
             sc,
             cell,
+            self.memory.get,
+            profile.get,
+            self.output.append,
+            cpcs.extend,
+            caddrs.extend,
+            ctakens.extend,
         )
+
+        # handlers[pc] starts as a stub that binds the pc's handler to this
+        # run's state on its first dispatch.
+        def miss(pc: int) -> int:
+            handler = handlers[pc] = decoded.factory(trace, pc)(*state)
+            return handler()
+
+        handlers = [partial(miss, pc) for pc in range(n_code)]
         pc = self.pc
         halted = False
         tele_on = telemetry.enabled()
         run_started = time.perf_counter() if tele_on else 0.0
 
-        safe = max_steps - self._decoded.max_block
+        safe = max_steps - decoded.max_block
         try:
             if sink is None:
                 while sc[0] < safe and 0 <= pc < n_code:
@@ -564,6 +561,8 @@ class FastVM:
                     pc, remaining, trace, profile, cpcs, caddrs, ctakens
                 )
                 sc[0] += tail_steps
+        finally:
+            handlers.clear()  # the stubs close over the list
         self.pc = pc
         steps = sc[0]
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.asm import assemble
+import repro.core.analyzer as analyzer_module
 from repro.core import LimitAnalyzer, MachineModel
 from repro.vm import VM
 
@@ -100,3 +101,71 @@ class TestSpeculativeFlowLimit:
             limited[M.SP_CD_MF].parallel_time
             == unlimited[M.SP_CD_MF].parallel_time
         )
+
+
+class _CountingDict(dict):
+    """A retirement-ledger dict that counts its lookups, within a budget."""
+
+    steps = 0
+    budget = 0
+
+    def _step(self):
+        type(self).steps += 1
+        if type(self).steps > type(self).budget:
+            raise AssertionError("flow placement exceeded its probe budget")
+
+    def get(self, key, default=None):
+        self._step()
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self._step()
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self._step()
+        return super().__contains__(key)
+
+
+class TestPlacementCost:
+    BRANCHES = 10_000
+
+    # One loop whose body branches on a loop-invariant register: under
+    # perfect unrolling the loop overhead is not counted, so every body
+    # branch is independent and wants cycle 2.  At k = 1 they retire at
+    # cycles 2..10001; a linear probe walks every full cycle below each.
+    SOURCE = f"""
+        li $t0, 1
+        li $t1, 0
+        li $t2, {BRANCHES}
+    top:
+        bltz $t0, skip
+        li $t3, 1
+    skip:
+        addi $t1, $t1, 1
+        bne $t1, $t2, top
+        halt
+    """
+
+    def test_probe_steps_linear_in_records(self, monkeypatch):
+        program = assemble(self.SOURCE)
+        trace = VM(program).run().trace
+        initial_state = analyzer_module._initial_state
+
+        def counted_state(*args):
+            state = initial_state(*args)
+            for name in [n for n in state if n[:2] in ("cb", "nf")]:
+                state[name] = _CountingDict()
+                if name.startswith("cb"):
+                    state["cg" + name[2:]] = state[name].get
+            return state
+
+        monkeypatch.setattr(analyzer_module, "_initial_state", counted_state)
+        monkeypatch.setattr(_CountingDict, "steps", 0)
+        monkeypatch.setattr(_CountingDict, "budget", 20 * len(trace.pcs))
+        result = LimitAnalyzer(program).analyze(
+            trace, models=[M.CD_MF], flow_limit=1, perfect_unrolling=True
+        )
+        assert result[M.CD_MF].parallel_time == self.BRANCHES + 2
+        # About 8 steps a branch; a linear probe takes BRANCHES**2 / 2 = 5e7.
+        assert _CountingDict.steps <= 10 * self.BRANCHES

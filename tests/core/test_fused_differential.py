@@ -53,6 +53,7 @@ def test_optioned_shapes_identical(runs, name):
     for kwargs in (
         dict(collect_misprediction_stats=True),
         dict(window=32),
+        dict(flow_limit=1),
         dict(flow_limit=2),
         dict(latencies={OpKind.LOAD: 3, OpKind.ALU: 2, OpKind.BRANCH: 2}),
         dict(perfect_inlining=False),

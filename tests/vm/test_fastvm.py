@@ -182,6 +182,27 @@ class TestSpecialization:
         assert "def h0(" in source
         compile(source, "<test>", "exec")  # well-formed Python
 
+    def test_handlers_compile_on_first_dispatch(self):
+        # Blocks {0, 1} and {2..5}: jr lands on pc 4, a non-leader, so its
+        # one-pc handler and pc 5's are compiled; block 2 never runs.
+        program = assemble(
+            """
+            li $t0, 4
+            jr $t0
+            nop
+            nop
+            addi $v0, $v0, 7
+            halt
+            """
+        )
+        decoded = FastVM(program)._decoded
+        assert not decoded._factories[True]
+        assert FastVM(program).run().exit_value == 7
+        assert sorted(decoded._factories[True]) == [0, 4, 5]
+        assert not decoded._factories[False]
+        source = fastvm_source(program)
+        assert [f"def h{pc}(" in source for pc in range(6)] == [True] * 6
+
     def test_decode_cache_shared_across_instances(self):
         program = assemble(COUNT_LOOP)
         a, b = FastVM(program), FastVM(program)
