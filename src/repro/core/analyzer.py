@@ -79,7 +79,7 @@ from typing import NamedTuple, Sequence
 from repro import telemetry
 from repro.analysis.summary import ProgramAnalysis, analyze_program, ignored_pcs
 from repro.core.models import ALL_MODELS, MachineModel
-from repro.core.results import AnalysisResult, ModelResult
+from repro.core.results import ENGINES, AnalysisResult, ModelResult
 from repro.core.stats import MispredictionStats
 from repro.isa import OpKind, Program, registers
 from repro.prediction.base import (
@@ -91,9 +91,6 @@ from repro.prediction.profile import ProfilePredictor
 from repro.vm.fastvm import basic_blocks
 from repro.vm.trace import Trace
 from repro.vm.trace_io import TraceReader, iter_trace_chunks, trace_source_program
-
-#: The analyzer's execution engines (see module docstring).
-ENGINES = ("fused", "legacy")
 
 
 @dataclass(frozen=True)
@@ -210,12 +207,6 @@ class LimitAnalyzer:
     The static analysis (CFG, control dependence, loop overhead) is computed
     once per program; each :meth:`analyze` call replays a trace under the
     requested machine models.
-
-    After an ``analyze`` call with ``flow_limit`` set,
-    :attr:`last_flow_peaks` holds, per model, the peak number of live
-    entries in the per-cycle branch-retirement table — the quantity the
-    flow-limit pruning fix (see :func:`_run_model`) keeps bounded for the
-    branch-ordering machines.
     """
 
     def __init__(
@@ -228,7 +219,6 @@ class LimitAnalyzer:
         self._table_cache: dict[tuple, _StaticTables] = {}
         self._blocks: dict[int, range] | None = None
         self._handler_codes: dict[tuple, CodeType] = {}
-        self.last_flow_peaks: dict[MachineModel, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -260,6 +250,10 @@ class LimitAnalyzer:
         It interpolates between the single-flow machines (whose in-order
         constraint is slightly stricter than k=1) and the -MF machines
         (k=∞, the default).  Branches are placed greedily in trace order.
+        The result's ``flow_peaks`` then holds, per model, the peak number
+        of live entries in the per-cycle branch-retirement ledger — the
+        quantity the flow-limit pruning (see :func:`_run_model`) keeps
+        bounded.
 
         ``models`` must name at least one machine; repeated models are
         evaluated once (the result keeps the first occurrence's position).
@@ -380,22 +374,8 @@ class LimitAnalyzer:
             result.removed_instructions = total - counted
             if stats is not None:
                 result.misprediction_stats = stats
-            self.last_flow_peaks = flow_peaks if flow_limit is not None else {}
-
             if flow_limit is not None:
-                # Flow-ledger peaks go to the gauge unconditionally: the
-                # flow-limited path is rare (ablation-flows only) and the
-                # gauge is what `repro-experiments --verbose` surfaces.
-                peak_gauge = telemetry.METRICS.gauge(
-                    "repro_analyzer_flow_ledger_peak"
-                )
-                for model, peak in flow_peaks.items():
-                    peak_gauge.set_max(
-                        peak,
-                        program=self.program.name,
-                        model=model.label,
-                        flows=flow_limit,
-                    )
+                result.flow_peaks = flow_peaks
             if tele_on:
                 elapsed = time.perf_counter() - sweep_started
                 if elapsed > 0:

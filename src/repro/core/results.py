@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.core.models import MachineModel
 from repro.core.stats import MispredictionStats
+from repro.prediction.stats import BranchStats
+
+#: The analyzer's execution engines (see :mod:`repro.core.analyzer`).
+ENGINES = ("fused", "legacy")
 
 
 def harmonic_mean(values: list[float]) -> float:
@@ -67,6 +71,13 @@ class AnalysisResult:
     #: "legacy").  Provenance only: excluded from equality so differential
     #: tests can compare the two engines' outputs directly.
     engine: str = field(default="fused", compare=False)
+    #: Per model, the peak live entries of the branch-retirement ledger of
+    #: a flow-limited analysis (empty without ``flow_limit``).
+    flow_peaks: dict[MachineModel, int] = field(default_factory=dict)
+    #: The branch statistics of the predictor the analysis used, set by
+    #: the farm's analyze job.  Provenance of the predictor, not analyzer
+    #: output, so excluded from equality like ``engine``.
+    branch_stats: BranchStats | None = field(default=None, compare=False)
 
     @property
     def parallelism(self) -> dict[MachineModel, float]:
@@ -84,9 +95,10 @@ class AnalysisResult:
 
         Every field is integral (parallelism is a derived property), so
         the round trip is exact — a result loaded from the artifact cache
-        renders identically to the result that was stored.
+        renders identically to the result that was stored.  Unset
+        ``flow_peaks`` and ``branch_stats`` are left out.
         """
-        return {
+        payload = {
             "program_name": self.program_name,
             "trace_length": self.trace_length,
             "counted_instructions": self.counted_instructions,
@@ -99,6 +111,13 @@ class AnalysisResult:
                 else self.misprediction_stats.to_json()
             ),
         }
+        if self.flow_peaks:
+            payload["flow_peaks"] = [
+                [model.value, peak] for model, peak in self.flow_peaks.items()
+            ]
+        if self.branch_stats is not None:
+            payload["branch_stats"] = asdict(self.branch_stats)
+        return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "AnalysisResult":
@@ -116,4 +135,8 @@ class AnalysisResult:
             result.misprediction_stats = MispredictionStats.from_json(
                 payload["misprediction_stats"]
             )
+        for label, peak in payload.get("flow_peaks", ()):
+            result.flow_peaks[MachineModel(label)] = peak
+        if "branch_stats" in payload:
+            result.branch_stats = BranchStats(**payload["branch_stats"])
         return result

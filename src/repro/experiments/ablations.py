@@ -19,51 +19,55 @@ from dataclasses import dataclass, replace
 from repro.core import MachineModel
 from repro.experiments.runner import SuiteRunner, TextTable
 from repro.isa import OpKind
-from repro.prediction import (
-    AlwaysNotTaken,
-    AlwaysTaken,
-    BackwardTaken,
-    GShare,
-    OneBit,
-    PerfectPredictor,
-    TwoBit,
-    branch_stats,
-)
-from repro.vm.trace import NOT_BRANCH
+from repro.jobs import AnalysisRequest
+from repro.prediction import PREDICTORS
 
 M = MachineModel
+
+#: Scheduling windows swept by the window ablation, before the unlimited one.
+WINDOWS: tuple[int, ...] = (16, 64, 256, 1024, 4096)
+
+#: Operation latencies swept by the latency ablation, by row label.
+LATENCIES: tuple[tuple[str, dict[OpKind, int]], ...] = (
+    ("unit (paper)", {}),
+    ("mem=2", {OpKind.LOAD: 2, OpKind.STORE: 2}),
+    ("mem=2,fpu=4", {OpKind.LOAD: 2, OpKind.STORE: 2, OpKind.FPU: 4}),
+    ("mem=4,fpu=8,mul-ish", {OpKind.LOAD: 4, OpKind.STORE: 4, OpKind.FPU: 8}),
+)
+
+#: Flow counts swept by the flows ablation, before the unlimited one.
+FLOW_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16)
 
 
 # -- farm requirements ----------------------------------------------------
 #
 # One requirements() helper per ablation entry point (the CLI pools the
 # requests of every selected experiment and prefetches them through
-# repro.jobs).  Ablations that build their own predictors or analyzer
-# options request only the trace they iterate on; analyses that go through
-# SuiteRunner.analyze with default predictors are requested outright.
+# repro.jobs).  Each lists exactly the analyses its ablation renders.
 
 
 def predictor_requirements(config) -> list:
-    from repro.jobs import TraceRequest
-
-    return [TraceRequest("espresso")]
+    return [
+        AnalysisRequest("espresso", models=(M.SP_CD_MF,), predictor=name)
+        for name in PREDICTORS
+    ]
 
 
 def window_requirements(config) -> list:
-    from repro.jobs import AnalysisRequest
-
-    return [AnalysisRequest("gcc", models=(M.SP,))]
+    return [
+        AnalysisRequest("gcc", models=(M.SP,), window=window)
+        for window in (*WINDOWS, None)
+    ]
 
 
 def latency_requirements(config) -> list:
-    from repro.jobs import TraceRequest
-
-    return [TraceRequest("spice2g6")]
+    return [
+        AnalysisRequest("spice2g6", models=(M.ORACLE, M.SP), latencies=latencies)
+        for _label, latencies in LATENCIES
+    ]
 
 
 def inlining_requirements(config) -> list:
-    from repro.jobs import AnalysisRequest
-
     models = (M.BASE, M.SP, M.ORACLE)
     return [
         request
@@ -81,7 +85,6 @@ def guarded_requirements(config) -> list:
 
 def convergence_requirements(config) -> list:
     from repro.bench import NON_NUMERIC
-    from repro.jobs import AnalysisRequest
 
     return [
         AnalysisRequest(name, max_steps=budget)
@@ -91,11 +94,9 @@ def convergence_requirements(config) -> list:
 
 
 def flows_requirements(config) -> list:
-    from repro.jobs import AnalysisRequest
-
-    return [
-        AnalysisRequest("gcc", models=(M.CD, M.SP_CD)),
-        AnalysisRequest("gcc", models=(M.CD_MF, M.SP_CD_MF)),
+    return [AnalysisRequest("gcc", models=(M.CD, M.SP_CD))] + [
+        AnalysisRequest("gcc", models=(M.CD_MF, M.SP_CD_MF), flow_limit=k)
+        for k in (*FLOW_COUNTS, None)
     ]
 
 
@@ -176,30 +177,11 @@ class PredictorAblation:
 
 
 def predictor_ablation(runner: SuiteRunner, benchmark: str = "espresso") -> PredictorAblation:
-    run = runner.run(benchmark)
-    outcomes = [taken == 1 for taken in run.trace.takens if taken != NOT_BRANCH]
-    perfect = PerfectPredictor()
-    perfect.prime(outcomes)
-    predictors = [
-        AlwaysTaken(),
-        AlwaysNotTaken(),
-        BackwardTaken(run.trace.program),
-        OneBit(),
-        TwoBit(),
-        GShare(),
-        run.predictor,
-        perfect,
-    ]
     rows = []
-    for predictor in predictors:
-        stats = branch_stats(run.trace, predictor)
-        if isinstance(predictor, PerfectPredictor):
-            predictor.prime(outcomes)
-        result = runner.analyze(
-            benchmark, models=[M.SP_CD_MF], predictor=predictor
-        )
+    for name in PREDICTORS:
+        result = runner.analyze(benchmark, models=[M.SP_CD_MF], predictor=name)
         rows.append(
-            (predictor.name, stats.prediction_rate, result[M.SP_CD_MF].parallelism)
+            (name, result.branch_stats.prediction_rate, result[M.SP_CD_MF].parallelism)
         )
     return PredictorAblation(rows=rows, benchmark=benchmark)
 
@@ -222,17 +204,12 @@ class WindowAblation:
 def window_ablation(
     runner: SuiteRunner,
     benchmark: str = "gcc",
-    windows: tuple[int, ...] = (16, 64, 256, 1024, 4096),
+    windows: tuple[int, ...] = WINDOWS,
 ) -> WindowAblation:
-    run = runner.run(benchmark)
     rows: list[tuple[str, float]] = []
-    for window in windows:
-        result = run.analyzer.analyze(
-            run.trace, models=[M.SP], predictor=run.predictor, window=window
-        )
-        rows.append((str(window), result[M.SP].parallelism))
-    unlimited = runner.analyze(benchmark, models=[M.SP])
-    rows.append(("unlimited", unlimited[M.SP].parallelism))
+    for window in (*windows, None):
+        result = runner.analyze(benchmark, models=[M.SP], window=window)
+        rows.append((str(window or "unlimited"), result[M.SP].parallelism))
     return WindowAblation(rows=rows, benchmark=benchmark)
 
 
@@ -252,20 +229,10 @@ class LatencyAblation:
 
 
 def latency_ablation(runner: SuiteRunner, benchmark: str = "spice2g6") -> LatencyAblation:
-    run = runner.run(benchmark)
-    configs: list[tuple[str, dict | None]] = [
-        ("unit (paper)", None),
-        ("mem=2", {OpKind.LOAD: 2, OpKind.STORE: 2}),
-        ("mem=2,fpu=4", {OpKind.LOAD: 2, OpKind.STORE: 2, OpKind.FPU: 4}),
-        ("mem=4,fpu=8,mul-ish", {OpKind.LOAD: 4, OpKind.STORE: 4, OpKind.FPU: 8}),
-    ]
     rows = []
-    for label, latencies in configs:
-        result = run.analyzer.analyze(
-            run.trace,
-            models=[M.ORACLE, M.SP],
-            predictor=run.predictor,
-            latencies=latencies,
+    for label, latencies in LATENCIES:
+        result = runner.analyze(
+            benchmark, models=[M.ORACLE, M.SP], latencies=latencies
         )
         rows.append(
             (label, result[M.ORACLE].parallelism, result[M.SP].parallelism)
@@ -298,33 +265,21 @@ class FlowsAblation:
 def flows_ablation(
     runner: SuiteRunner,
     benchmark: str = "gcc",
-    flow_counts: tuple[int, ...] = (1, 2, 4, 8, 16),
+    flow_counts: tuple[int, ...] = FLOW_COUNTS,
 ) -> FlowsAblation:
-    run = runner.run(benchmark)
     reference = runner.analyze(benchmark, models=[M.CD, M.SP_CD])
     rows: list[tuple[str, float, float]] = []
-    for k in flow_counts:
-        result = run.analyzer.analyze(
-            run.trace,
-            models=[M.CD_MF, M.SP_CD_MF],
-            predictor=run.predictor,
-            flow_limit=k,
+    for k in (*flow_counts, None):
+        result = runner.analyze(
+            benchmark, models=[M.CD_MF, M.SP_CD_MF], flow_limit=k
         )
         rows.append(
             (
-                str(k),
+                str(k or "unlimited"),
                 result[M.CD_MF].parallelism,
                 result[M.SP_CD_MF].parallelism,
             )
         )
-    unlimited = runner.analyze(benchmark, models=[M.CD_MF, M.SP_CD_MF])
-    rows.append(
-        (
-            "unlimited",
-            unlimited[M.CD_MF].parallelism,
-            unlimited[M.SP_CD_MF].parallelism,
-        )
-    )
     return FlowsAblation(
         benchmark=benchmark,
         rows=rows,

@@ -18,7 +18,7 @@ Tables and figures go to stdout; timing lines and the farm's report go
 to stderr, so stdout is byte-identical across worker counts and cache
 states.  ``[farm: Xs]`` times the farm's prefetch of every artifact the
 selected experiments need; each ``[EXPERIMENT: Xs]`` line then times
-that experiment's render (plus any analysis it runs in-process).
+that experiment's render from the farm's artifacts.
 ``--quiet`` suppresses the stderr chatter entirely, and the farm's
 per-job breakdown is only shown when stderr is a terminal (the stage
 and total summary lines always appear).
@@ -166,8 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         "--legacy-engine",
         action="store_true",
         help="analyze with the original per-model sweep instead of the "
-        "fused single-pass engine (differential-testing oracle; slower, "
-        "bypasses the persistent result cache)",
+        "fused single-pass engine (differential-testing oracle; slower; "
+        "its results are cached apart from the fused engine's)",
     )
     parser.add_argument(
         "--telemetry-dir",
@@ -332,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
                 report.write(output + f"\n[{name}: {elapsed:.1f}s]\n\n")
                 report.flush()
         if args.verbose:
-            _print_flow_peaks()
+            _print_flow_peaks(runner)
         _print_farm_report(runner, args.quiet)
         if args.metrics:
             telemetry.write_metrics(args.telemetry_dir)
@@ -352,29 +352,23 @@ def _print_farm_report(runner: SuiteRunner, quiet: bool) -> None:
         )
 
 
-def _print_flow_peaks() -> None:
-    """Surface the per-model flow-ledger peak gauges on stderr.
+def _print_flow_peaks(runner: SuiteRunner) -> None:
+    """Print the per-model flow-ledger peaks on stderr.
 
-    The analyzer records peaks into the ``repro_analyzer_flow_ledger_peak``
-    gauge whenever a flow-limited analysis runs (the ablation-flows
-    experiment), so this works with or without ``--telemetry-dir``.
+    They come from the flow-limited results the runner loaded (the
+    ablation-flows experiment's), so a warm run prints what a cold one
+    does.
     """
-    samples = telemetry.METRICS.get("repro_analyzer_flow_ledger_peak").to_json()[
-        "samples"
+    lines = [
+        f"[flow-peaks] {result.program_name} {model.label} "
+        f"flows={request.flow_limit}: peak {peak}"
+        for request, result in runner.results.items()
+        for model, peak in result.flow_peaks.items()
     ]
-    for sample in samples:
-        labels = sample["labels"]
-        print(
-            f"[flow-peaks] {labels['program']} {labels['model']} "
-            f"flows={labels['flows']}: peak {sample['value']:.0f}",
-            file=sys.stderr,
-        )
-    if not samples:
-        print(
-            "[flow-peaks] no flow-limited analyses ran "
-            "(ablation-flows produces them)",
-            file=sys.stderr,
-        )
+    for line in lines or [
+        "[flow-peaks] no flow-limited analyses ran (ablation-flows produces them)"
+    ]:
+        print(line, file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,7 +26,7 @@ from repro.bench import SUITE, BenchmarkSpec
 from repro.core import ALL_MODELS, AnalysisResult, MachineModel
 from repro.diagnostics import DiagnosticError, Severity
 from repro.isa import Program
-from repro.prediction import BranchPredictor, BranchStats, ProfilePredictor
+from repro.prediction import BranchStats, ProfilePredictor
 from repro.jobs import (
     DEAD,
     AnalysisRequest,
@@ -66,11 +66,11 @@ class RunConfig:
     is the worker-process count used when experiment requirements are
     prefetched through the farm; 1 runs jobs serially in-process.
 
-    ``engine`` selects the analyzer implementation: ``"fused"`` (the
-    default single-pass engine) or ``"legacy"`` (the original per-model
-    sweep, kept as a differential-testing oracle).  Legacy runs bypass
-    the persistent result cache so the oracle path is actually executed
-    rather than served a cached fused result.
+    ``engine`` selects the analyzer implementation every analyze job
+    runs: ``"fused"`` (the default single-pass engine) or ``"legacy"``
+    (the original per-model sweep, kept as a differential-testing
+    oracle).  The engine is part of each result's cache key, so a legacy
+    run executes the oracle rather than being served a fused result.
 
     ``telemetry_dir`` enables the observability layer of
     :mod:`repro.telemetry` at that directory: spans from every pipeline
@@ -106,8 +106,8 @@ class BenchmarkRun:
 
     The trace lives in the artifact cache behind an ``opener(program)``
     producing fresh streaming readers.  :attr:`trace` materializes it
-    lazily for consumers that genuinely need whole-trace columns (the
-    verifier, ablations); chunk-wise consumers call :meth:`trace_source`
+    lazily for the consumer that genuinely needs whole-trace columns
+    (the verifier); chunk-wise consumers call :meth:`trace_source`
     and never pay the memory.  :attr:`stats` (Table 2) comes from the profile's
     counts, with no pass over the trace.
 
@@ -174,7 +174,6 @@ class SuiteRunner:
     anything, and :meth:`run` / :meth:`analyze` retire their one request
     through the same planner and a serial engine, so the stage functions
     of :mod:`repro.jobs.worker` are the only definition of each stage.
-    Only the legacy engine and custom predictors analyze in-process.
     """
 
     def __init__(self, config: RunConfig | None = None):
@@ -184,14 +183,17 @@ class SuiteRunner:
                 self.config.telemetry_dir, profile=self.config.profile
             )
         self._runs: dict[str, BenchmarkRun] = {}
-        self._results: dict[tuple, AnalysisResult] = {}
+        #: Every analysis this runner has loaded, by request.
+        self.results: dict[AnalysisRequest, AnalysisResult] = {}
         self.farm_report = FarmReport()
         cache_dir = self.config.cache_dir
         if cache_dir is None:
             cache_dir = tempfile.mkdtemp(prefix="repro-cache-")
             weakref.finalize(self, shutil.rmtree, cache_dir, ignore_errors=True)
         self._cache = ArtifactCache(cache_dir)
-        self._planner = Planner(self._cache, self.farm_report)
+        self._planner = Planner(
+            self._cache, self.farm_report, engine=self.config.engine
+        )
 
     @property
     def cache_dir(self) -> Path:
@@ -317,62 +319,24 @@ class SuiteRunner:
             raise DiagnosticError(errors, context=run.name)
 
     def analyze(
-        self,
-        name: str,
-        models: Sequence[MachineModel] = ALL_MODELS,
-        perfect_unrolling: bool = True,
-        perfect_inlining: bool = True,
-        collect_misprediction_stats: bool = False,
-        predictor: BranchPredictor | None = None,
+        self, name: str, models: Sequence[MachineModel] = ALL_MODELS, **options
     ) -> AnalysisResult:
-        """Limit-analyze one benchmark's trace (cached per option set).
+        """Limit-analyze one benchmark's trace (memoized per request).
 
-        A custom ``predictor`` bypasses the cache (ablations construct their
-        own predictors with internal state), and so does the legacy
-        engine: it exists as a differential oracle, and serving it a
-        cached fused result would skip the very code path the caller
-        asked to exercise.
+        *options* are the :class:`~repro.jobs.AnalysisRequest` option
+        fields (``window``, ``latencies``, ``predictor`` by name, ...);
+        the request is retired through the farm under the run's engine.
         """
-        key = (
-            name,
-            tuple(models),
-            perfect_unrolling,
-            perfect_inlining,
-            collect_misprediction_stats,
-            self.config.engine,
-        )
-        if predictor is None and key in self._results:
-            return self._results[key]
-        if self.config.verify:
-            self.run(name)  # verify the run before its numbers are used
-        if predictor is None and self.config.engine == "fused":
+        request = AnalysisRequest(name, tuple(models), **options)
+        result = self.results.get(request)
+        if result is None:
+            if self.config.verify:
+                self.run(name)  # verify the run before its numbers are used
             cache = self._cache
             result = self._load(
-                AnalysisRequest(
-                    name,
-                    tuple(models),
-                    perfect_unrolling,
-                    perfect_inlining,
-                    collect_misprediction_stats,
-                ),
-                lambda keys: cache.load_result(keys.result),
+                request, lambda keys: cache.load_result(keys.result)
             )
-        else:
-            run = self.run(name)
-            with telemetry.span(
-                "runner.analyze", benchmark=name, engine=self.config.engine
-            ):
-                result = run.analyzer.analyze(
-                    run.trace_source(),
-                    models=models,
-                    predictor=predictor if predictor is not None else run.predictor,
-                    perfect_unrolling=perfect_unrolling,
-                    perfect_inlining=perfect_inlining,
-                    collect_misprediction_stats=collect_misprediction_stats,
-                    engine=self.config.engine,
-                )
-        if predictor is None:
-            self._results[key] = result
+            self.results[request] = result
         return result
 
 

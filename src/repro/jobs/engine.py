@@ -54,6 +54,7 @@ from typing import Iterable
 from repro import telemetry
 from repro.asm.disassembler import disassemble
 from repro.bench import SUITE
+from repro.core.results import ENGINES
 from repro.jobs import keys
 from repro.jobs.backends import Completion
 from repro.jobs.cache import ArtifactCache
@@ -93,7 +94,13 @@ class RequestKeys:
 
 
 class Planner:
-    """Expands requests into a job graph against one cache/config."""
+    """Expands requests into a job graph against one cache/config.
+
+    ``engine`` names the analyzer engine every analysis job runs: run
+    policy, like the fault plan, but it goes into each result's key, so
+    a legacy result is cached apart from a fused one.  An unknown
+    engine is rejected here, not left to kill every analysis job.
+    """
 
     def __init__(
         self,
@@ -101,9 +108,13 @@ class Planner:
         report: FarmReport,
         telemetry_dir: str | None = None,
         profile: bool = False,
+        engine: str = "fused",
     ):
         self.cache = cache
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.report = report
+        self.engine = engine
         self.telemetry_dir = str(telemetry_dir) if telemetry_dir is not None else None
         self.profile = profile
         self._fingerprints: dict[tuple[str, int], str] = {}
@@ -188,13 +199,7 @@ class Planner:
         )
         result_key = None
         if isinstance(request, AnalysisRequest):
-            result_key = keys.result_key(
-                trace_key,
-                request.model_labels,
-                request.perfect_unrolling,
-                request.perfect_inlining,
-                request.collect_misprediction_stats,
-            )
+            result_key = keys.result_key(trace_key, self.engine, request.options())
         return RequestKeys(compile_key, trace_key, result_key)
 
     def plan(
@@ -245,10 +250,8 @@ class Planner:
                         "benchmark": benchmark,
                         "scale": scale,
                         "trace": keys_.trace,
-                        "models": list(request.model_labels),
-                        "perfect_unrolling": request.perfect_unrolling,
-                        "perfect_inlining": request.perfect_inlining,
-                        "misprediction_stats": request.collect_misprediction_stats,
+                        "engine": self.engine,
+                        "options": request.options(),
                         **shared,
                     },
                 )

@@ -12,7 +12,8 @@ is a SHA-256 digest of *everything that determines its content*:
   program's *fingerprint* — a digest of its disassembled object code —
   for everything downstream, so any change to the source or the code
   generator invalidates dependent artifacts;
-* the workload scale, the trace budget, and the analyzer option set.
+* the workload scale, the trace budget, and the analyzer engine and
+  option set.
 
 Keys are pure functions of their inputs: two processes (or two machines)
 computing the key for the same work arrive at the same address, which is
@@ -39,7 +40,10 @@ from repro.vm.trace_io import VERSION as RTRC_VERSION
 #: old-level traces get new keys rather than sharing them.  Schema 5:
 #: the trace stage writes the branch profile under the trace's key, as
 #: ``{counts, records, default_taken}`` instead of directions alone.
-SCHEMA = 5
+#: Schema 6: the result key covers the whole analyzer option set (window,
+#: latencies, flow limit, predictor name) and the engine, and results
+#: carry the predictor's branch statistics and any flow-ledger peaks.
+SCHEMA = 6
 
 
 def _digest(material: dict) -> str:
@@ -81,29 +85,21 @@ def trace_key(program_fingerprint: str, scale: int, max_steps: int) -> str:
     )
 
 
-def result_key(
-    trace: str,
-    models: tuple[str, ...],
-    perfect_unrolling: bool,
-    perfect_inlining: bool,
-    collect_misprediction_stats: bool,
-) -> str:
-    """Key of an analysis stage: one trace under one analyzer option set.
+def result_key(trace: str, engine: str, options: dict) -> str:
+    """Key of an analysis stage: one trace under one analyzer engine and
+    option set (:meth:`~repro.jobs.requests.AnalysisRequest.options`).
 
-    ``models`` are machine-model labels; they are sorted so that the same
-    *set* of models always maps to the same artifact regardless of request
-    order.
+    The model labels are sorted so that the same *set* of models always
+    maps to the same artifact regardless of request order.
     """
     return _digest(
         {
+            **options,
             "kind": "result",
             "schema": SCHEMA,
             "repro": __version__,
             "trace": trace,
-            "predictor": "profile",
-            "models": sorted(models),
-            "perfect_unrolling": perfect_unrolling,
-            "perfect_inlining": perfect_inlining,
-            "misprediction_stats": collect_misprediction_stats,
+            "engine": engine,
+            "models": sorted(options["models"]),
         }
     )

@@ -19,9 +19,10 @@ request list behaves identically under a chaotic run and a clean one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.core.models import ALL_MODELS, MachineModel
+from repro.prediction import PREDICTORS
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,12 @@ class TraceRequest:
 class AnalysisRequest:
     """Request one benchmark analyzed under one analyzer option set.
 
-    Implies the benchmark's trace.  ``models`` is ``None``
-    for the full model set (the default of ``SuiteRunner.analyze``).
+    Implies the benchmark's trace.  ``models`` is ``None`` for the full
+    model set (the default of ``SuiteRunner.analyze``).  The option
+    fields mirror ``LimitAnalyzer.analyze``, except that ``latencies`` is
+    a sorted tuple of ``(OpKind.value, cycles)`` pairs (an ``OpKind ->
+    cycles`` mapping is converted) and ``predictor`` is a predictor name
+    from :data:`~repro.prediction.PREDICTORS`.
     """
 
     benchmark: str
@@ -46,12 +51,42 @@ class AnalysisRequest:
     perfect_unrolling: bool = True
     perfect_inlining: bool = True
     collect_misprediction_stats: bool = False
+    window: int | None = None
+    latencies: tuple[tuple[str, int], ...] = ()
+    flow_limit: int | None = None
+    predictor: str = "profile"
     max_steps: int | None = None  # None: RunConfig.max_steps
+
+    def __post_init__(self):
+        if isinstance(self.latencies, dict):
+            pairs = sorted((k.value, cycles) for k, cycles in self.latencies.items())
+            object.__setattr__(self, "latencies", tuple(pairs))
 
     @property
     def model_labels(self) -> tuple[str, ...]:
         models = ALL_MODELS if self.models is None else self.models
         return tuple(model.label for model in models)
+
+    def options(self) -> dict:
+        """The analyzer option set, keyed as ``LimitAnalyzer.analyze``'s
+        parameters, with models as labels: the one definition the result
+        key, the job payload and the analyze job all read.
+
+        Raises ``ValueError`` for an unknown predictor name, so a bad
+        request fails when it is planned rather than as a dead job.
+        """
+        if self.predictor not in PREDICTORS:
+            raise ValueError(
+                f"unknown predictor {self.predictor!r}; "
+                f"expected one of {', '.join(PREDICTORS)}"
+            )
+        options = {
+            field.name: getattr(self, field.name)
+            for field in fields(self)
+            if field.name not in ("benchmark", "max_steps")
+        }
+        options["models"] = self.model_labels
+        return options
 
 
 Request = TraceRequest | AnalysisRequest

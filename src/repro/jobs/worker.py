@@ -21,9 +21,10 @@ import time
 from repro import telemetry
 from repro.bench import SUITE
 from repro.core import MachineModel
+from repro.isa import OpKind
 from repro.jobs import faults
 from repro.jobs.cache import ArtifactCache
-from repro.prediction import ProfilePredictor
+from repro.prediction import ProfilePredictor, branch_stats, named_predictor
 from repro.vm import FastVM
 
 
@@ -107,18 +108,25 @@ def _trace_job(payload: dict) -> None:
 
 
 def _analysis_job(payload: dict) -> None:
+    # The result carries the predictor's branch statistics: the profile
+    # knows its own, any other predictor takes one more pass.
     from repro.core.analyzer import LimitAnalyzer
 
     cache = ArtifactCache(payload["cache_dir"])
     program = _program(payload)
     reader = cache.open_trace_reader(payload["trace"], program)
-    predictor = cache.load_profile(payload["trace"])
-    result = LimitAnalyzer(program).analyze(
-        reader,
-        models=[MachineModel(label) for label in payload["models"]],
+    profile = cache.load_profile(payload["trace"])
+    options = dict(payload["options"])
+    predictor = named_predictor(options["predictor"], reader, profile)
+    options.update(
+        models=[MachineModel(label) for label in options["models"]],
+        latencies={OpKind(kind): cycles for kind, cycles in options["latencies"]},
         predictor=predictor,
-        perfect_unrolling=payload["perfect_unrolling"],
-        perfect_inlining=payload["perfect_inlining"],
-        collect_misprediction_stats=payload["misprediction_stats"],
+    )
+    result = LimitAnalyzer(program).analyze(
+        reader, engine=payload["engine"], **options
+    )
+    result.branch_stats = (
+        profile.stats() if predictor is profile else branch_stats(reader, predictor)
     )
     cache.store_result(payload["key"], result)

@@ -247,12 +247,6 @@ STANDARD_METRICS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         ("program", "engine"),
     ),
     (
-        "gauge",
-        "repro_analyzer_flow_ledger_peak",
-        "Peak live entries in the per-cycle branch-retirement ledger",
-        ("program", "model", "flows"),
-    ),
-    (
         "counter",
         "repro_jobs_cache_hits_total",
         "Farm jobs satisfied from the artifact cache, per stage",

@@ -70,12 +70,11 @@ def test_optioned_shapes_identical(runs, name):
         fused = analyzer.analyze(
             trace, predictor=predictor, engine="fused", **kwargs
         )
-        fused_peaks = dict(analyzer.last_flow_peaks)
         legacy = analyzer.analyze(
             trace, predictor=predictor, engine="legacy", **kwargs
         )
         assert fused == legacy, kwargs
-        assert dict(analyzer.last_flow_peaks) == fused_peaks, kwargs
+        assert fused.flow_peaks == legacy.flow_peaks, kwargs
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))

@@ -142,14 +142,13 @@ class TestFlowLimitPruning:
         # branch ledger must stay bounded, not grow with the trace.
         program, trace = trace_of(self.LOOP)
         analyzer = LimitAnalyzer(program)
-        analyzer.analyze(
+        peaks = analyzer.analyze(
             trace,
             models=[M.BASE, M.SP],
             flow_limit=2,
             perfect_unrolling=False,
             perfect_inlining=False,
-        )
-        peaks = dict(analyzer.last_flow_peaks)
+        ).flow_peaks
         assert set(peaks) == {M.BASE, M.SP}
         for model, peak in peaks.items():
             assert peak <= 16, f"{model}: ledger peaked at {peak} entries"
@@ -163,18 +162,16 @@ class TestFlowLimitPruning:
             perfect_unrolling=False,
             perfect_inlining=False,
         )
-        analyzer.analyze(trace, engine="fused", **kwargs)
-        fused_peaks = dict(analyzer.last_flow_peaks)
-        analyzer.analyze(trace, engine="legacy", **kwargs)
-        assert dict(analyzer.last_flow_peaks) == fused_peaks
+        fused = analyzer.analyze(trace, engine="fused", **kwargs)
+        legacy = analyzer.analyze(trace, engine="legacy", **kwargs)
+        assert legacy.flow_peaks == fused.flow_peaks
+        assert set(fused.flow_peaks) == set(ALL_MODELS)
 
     def test_peaks_cleared_without_flow_limit(self):
         program, trace = trace_of(self.LOOP)
         analyzer = LimitAnalyzer(program)
-        analyzer.analyze(trace, models=[M.BASE], flow_limit=4)
-        assert analyzer.last_flow_peaks
-        analyzer.analyze(trace, models=[M.BASE])
-        assert analyzer.last_flow_peaks == {}
+        assert analyzer.analyze(trace, models=[M.BASE], flow_limit=4).flow_peaks
+        assert analyzer.analyze(trace, models=[M.BASE]).flow_peaks == {}
 
 
 OPTION_SHAPES = [
@@ -200,12 +197,11 @@ class TestFusedMatchesLegacy:
         fused = analyzer.analyze(
             trace, predictor=predictor, engine="fused", **kwargs
         )
-        fused_peaks = dict(analyzer.last_flow_peaks)
         legacy = analyzer.analyze(
             trace, predictor=predictor, engine="legacy", **kwargs
         )
         assert fused == legacy
-        assert dict(analyzer.last_flow_peaks) == fused_peaks
+        assert fused.flow_peaks == legacy.flow_peaks
 
     def test_model_subsets_identical(self):
         program, trace = trace_of(BRANCHY)

@@ -184,6 +184,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Benchmark Programs" in out
 
+    def test_verbose_flow_peaks_same_cold_and_warm(self, capsys, tmp_path):
+        args = ["ablation-flows", "--max-steps", "20000", "--verbose"]
+        args += ["--cache-dir", str(tmp_path)]
+        runs = []
+        for _ in ("cold", "warm"):
+            assert main(args) == 0
+            err = capsys.readouterr().err
+            runs.append([line for line in err.splitlines() if "[flow-peaks]" in line])
+        cold, warm = runs
+        assert warm == cold
+        assert len(cold) == 2 * len(ablations.FLOW_COUNTS)
+        assert cold[0].startswith("[flow-peaks] gcc CD-MF flows=1: peak ")
+
     def test_output_report_file(self, capsys, tmp_path):
         report = tmp_path / "report.txt"
         assert main(["table1", "--output", str(report)]) == 0

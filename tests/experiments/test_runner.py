@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import MachineModel
+from repro.core import LimitAnalyzer, MachineModel
 from repro.experiments import RunConfig, SuiteRunner, TextTable
-from repro.prediction import AlwaysTaken
+from repro.jobs import AnalysisRequest, ArtifactCache, FarmReport, Planner
+from repro.prediction import AlwaysTaken, branch_stats
 
 M = MachineModel
 
@@ -56,11 +57,22 @@ class TestSuiteRunner:
         c = runner.analyze("awk", models=[M.BASE], perfect_unrolling=False)
         assert c is not a
 
-    def test_custom_predictor_bypasses_cache(self, runner):
-        a = runner.analyze("awk", models=[M.SP])
-        b = runner.analyze("awk", models=[M.SP], predictor=AlwaysTaken())
-        assert a is not b
-        assert b[M.SP].parallelism <= a[M.SP].parallelism + 1e-9 or True  # both valid
+    def test_named_predictor_is_a_cached_farm_request(self, runner):
+        result = runner.analyze("awk", models=[M.SP], predictor="always-taken")
+        run = runner.run("awk")
+        direct = LimitAnalyzer(run.program).analyze(
+            run.trace, models=[M.SP], predictor=AlwaysTaken()
+        )
+        assert result == direct
+        assert result.branch_stats == branch_stats(run.trace, AlwaysTaken())
+        assert runner.analyze("awk", models=[M.SP], predictor="always-taken") is result
+        planner = Planner(ArtifactCache(runner.cache_dir), FarmReport())
+
+        def key(**options):
+            request = AnalysisRequest("awk", (M.SP,), **options)
+            return planner.request_keys(request, None, 20_000).result
+
+        assert key(predictor="always-taken") != key()
 
     def test_default_config(self):
         runner = SuiteRunner()

@@ -66,6 +66,19 @@ class TestPlanner:
         assert jobs["analyze"].payload["trace"] == jobs["trace"].key
         assert "profile" not in jobs["analyze"].payload
 
+    def test_unknown_predictor_rejected_before_any_job_runs(self, cache):
+        report = FarmReport()
+        with pytest.raises(ValueError) as excinfo:
+            plan(cache, report, [AnalysisRequest("awk", predictor="oracle")])
+        assert "'oracle'" in str(excinfo.value)
+        assert "always-taken, always-not-taken, btfnt" in str(excinfo.value)
+        # Only the in-planner compile stage ran; no job was planned.
+        assert {record.stage for record in report.records.values()} == {"compile"}
+
+    def test_unknown_engine_rejected_by_the_planner(self, cache):
+        with pytest.raises(ValueError, match="unknown engine 'turbo'"):
+            Planner(cache, FarmReport(), engine="turbo")
+
     def test_max_steps_override_forks_the_trace(self, cache):
         graph = plan(
             cache,

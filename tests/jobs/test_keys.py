@@ -1,6 +1,16 @@
 """Tests for content-addressed cache keys (repro.jobs.keys)."""
 
-from repro.jobs import keys
+from repro.core import MachineModel
+from repro.isa import OpKind
+from repro.jobs import AnalysisRequest, keys
+
+
+def result_key(trace="tk", models=("BASE",), engine="fused", **options):
+    """``keys.result_key`` of one request's option set."""
+    request = AnalysisRequest(
+        "awk", tuple(MachineModel(label) for label in models), **options
+    )
+    return keys.result_key(trace, engine, request.options())
 
 
 class TestKeyStability:
@@ -17,9 +27,7 @@ class TestKeyStability:
     def test_kinds_never_collide(self):
         # The same material under different kinds must map to different
         # addresses (a trace can never shadow a result, etc.).
-        assert keys.trace_key("x", 1, 1) != keys.result_key(
-            "x", (), True, True, False
-        )
+        assert keys.trace_key("x", 1, 1) != result_key("x")
 
 
 class TestInvalidation:
@@ -41,13 +49,13 @@ class TestInvalidation:
         before = (
             keys.compile_key("awk", 1, "src"),
             keys.trace_key("fp", 1, 1000),
-            keys.result_key("tk", ("BASE",), True, True, False),
+            result_key(),
         )
         monkeypatch.setattr(keys, "__version__", "999.0.0")
         after = (
             keys.compile_key("awk", 1, "src"),
             keys.trace_key("fp", 1, 1000),
-            keys.result_key("tk", ("BASE",), True, True, False),
+            result_key(),
         )
         for old, new in zip(before, after):
             assert old != new
@@ -58,23 +66,34 @@ class TestInvalidation:
         assert keys.trace_key("fp", 1, 1000) != before
 
     def test_schema_in_keys(self, monkeypatch):
-        before = keys.result_key("tk", ("BASE",), True, True, False)
+        before = result_key()
         monkeypatch.setattr(keys, "SCHEMA", 999)
-        assert keys.result_key("tk", ("BASE",), True, True, False) != before
+        assert result_key() != before
 
 
 class TestResultKey:
     def test_model_order_is_canonical(self):
-        a = keys.result_key("tk", ("CD", "SP-CD"), True, True, False)
-        b = keys.result_key("tk", ("SP-CD", "CD"), True, True, False)
+        a = result_key(models=("CD", "SP-CD"))
+        b = result_key(models=("SP-CD", "CD"))
         assert a == b
 
     def test_option_sets_distinct(self):
-        base = keys.result_key("tk", ("BASE",), True, True, False)
-        assert keys.result_key("tk", ("BASE",), False, True, False) != base
-        assert keys.result_key("tk", ("BASE",), True, False, False) != base
-        assert keys.result_key("tk", ("BASE",), True, True, True) != base
-        assert keys.result_key("other", ("BASE",), True, True, False) != base
+        base = result_key()
+        assert result_key(perfect_unrolling=False) != base
+        assert result_key(perfect_inlining=False) != base
+        assert result_key(collect_misprediction_stats=True) != base
+        assert result_key(window=64) != base
+        assert result_key(latencies={OpKind.LOAD: 2}) != base
+        assert result_key(flow_limit=2) != base
+        assert result_key(predictor="gshare") != base
+        assert result_key(engine="legacy") != base
+        assert result_key("other") != base
+
+    def test_latency_order_is_canonical(self):
+        a = result_key(latencies={OpKind.LOAD: 2, OpKind.FPU: 4})
+        b = result_key(latencies={OpKind.FPU: 4, OpKind.LOAD: 2})
+        assert a == b
+        assert result_key(latencies={}) == result_key()
 
 
 class TestEndToEndInvalidation:

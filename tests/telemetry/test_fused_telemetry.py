@@ -2,8 +2,9 @@
 
 The fused analyzer runs one kernel whether telemetry is on or off, and
 records its span and throughput gauge around the call.  These tests pin
-(a) result identity across legacy/fused/telemetry-on, (b) that the
-kernel source carries no telemetry code at all, and (c) that a
+(a) result identity across legacy/fused/telemetry-on, and flow-ledger
+peaks that ride on the result with telemetry off, (b) that the kernel
+source carries no telemetry code at all, and (c) that a
 telemetry-on sweep populates the analyzer gauges.
 """
 
@@ -41,6 +42,16 @@ class TestResultIdentity:
         with_tele = analyzer.analyze(trace, predictor=predictor, engine="legacy")
         assert with_tele == baseline
 
+    def test_flow_peaks_ride_on_the_result_without_telemetry(self, run):
+        analyzer, trace, predictor = run
+        assert not telemetry.enabled()
+        result = analyzer.analyze(
+            trace, predictor=predictor, engine="fused", flow_limit=2
+        )
+        assert list(result.flow_peaks) == list(result.models)
+        assert max(result.flow_peaks.values()) > 0
+        assert telemetry.METRICS.get("repro_analyzer_flow_ledger_peak") is None
+
 
 class TestKernelSource:
     def test_disabled_kernel_has_no_telemetry_code(self, run):
@@ -60,17 +71,6 @@ class TestGauges:
             program="awk", engine="fused"
         )
         assert ips > 0
-
-    def test_flow_peak_gauge_set_without_telemetry(self, run):
-        analyzer, trace, predictor = run
-        assert not telemetry.enabled()
-        analyzer.analyze(
-            trace, predictor=predictor, engine="fused", flow_limit=2
-        )
-        gauge = telemetry.METRICS.get("repro_analyzer_flow_ledger_peak")
-        samples = gauge.to_json()["samples"]
-        assert samples, "flow-limited analyze must record peak gauges"
-        assert all(s["labels"]["flows"] == "2" for s in samples)
 
     def test_spans_emitted_per_analyze(self, run, tmp_path):
         analyzer, trace, predictor = run
