@@ -7,7 +7,9 @@
 * perfect inlining's contribution per machine.
 """
 
-from repro.experiments import ablations
+from dataclasses import replace
+
+from repro.experiments import SuiteRunner, ablations
 
 
 def test_ablation_predictors(benchmark, warm_runner):
@@ -58,8 +60,17 @@ def test_ablation_latency(benchmark, warm_runner):
 
 
 def test_ablation_guarded(benchmark, warm_runner):
+    # At least 150k steps, so both demo variants run to completion.
+    config = warm_runner.config
+    runner = SuiteRunner(
+        replace(
+            config,
+            max_steps=max(config.max_steps, 150_000),
+            cache_dir=warm_runner.cache_dir,
+        )
+    )
     result = benchmark.pedantic(
-        lambda: ablations.guarded_ablation(max_steps=150_000),
+        lambda: ablations.guarded_ablation(runner),
         rounds=1,
         iterations=1,
     )

@@ -4,10 +4,10 @@ Seven non-numeric C programs (awk, ccom, eqntott, espresso, gcc, irsim,
 latex) and three FORTRAN-style numeric programs (matrix300, spice2g6,
 tomcatv), written in MiniC with deterministic generated workloads.  See
 DESIGN.md §2 for why each analogue preserves the control-flow behaviour
-the study measures.
+the study measures.  :func:`get` also knows the ``DEMOS`` outside it.
 """
 
 from repro.bench.spec import BenchmarkSpec
-from repro.bench.suite import NON_NUMERIC, NUMERIC, SUITE, get
+from repro.bench.suite import DEMOS, NON_NUMERIC, NUMERIC, SUITE, get
 
-__all__ = ["BenchmarkSpec", "NON_NUMERIC", "NUMERIC", "SUITE", "get"]
+__all__ = ["BenchmarkSpec", "DEMOS", "NON_NUMERIC", "NUMERIC", "SUITE", "get"]

@@ -16,7 +16,8 @@ class BenchmarkSpec:
     scales run more work with the same code.  ``expected`` optionally maps a
     scale to the program's known exit checksum, validating that the compiled
     benchmark computes what it claims to (guards against silent compiler or
-    workload bugs corrupting the study).
+    workload bugs corrupting the study).  ``if_convert`` compiles with
+    guarded-move if-conversion.
     """
 
     name: str
@@ -26,6 +27,7 @@ class BenchmarkSpec:
     source: Callable[[int], str]
     default_scale: int = 1
     expected: dict[int, int] = field(default_factory=dict)
+    if_convert: bool = False
 
     def compile(self, scale: int | None = None) -> Program:
         actual_scale = self.default_scale if scale is None else scale
@@ -42,5 +44,7 @@ def _compile_cached(spec: BenchmarkSpec, scale: int) -> Program:
         # compiles, so it never pays for loading the compiler.
         from repro.lang.compiler import compile_source
 
-        _CACHE[key] = compile_source(spec.source(scale), name=spec.name)
+        _CACHE[key] = compile_source(
+            spec.source(scale), name=spec.name, if_convert=spec.if_convert
+        )
     return _CACHE[key]

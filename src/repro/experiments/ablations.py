@@ -10,12 +10,15 @@
   bubbles.
 * **Inlining** — what perfect inlining (removing call/return/stack-pointer
   serialization) is worth on each machine.
+* **Guarded instructions** — the §6 demo of ``repro.bench.programs.guarded``
+  compiled with branches and with guarded moves, both analyzed by the farm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.bench import DEMOS
 from repro.core import MachineModel
 from repro.experiments.runner import SuiteRunner, TextTable
 from repro.isa import OpKind
@@ -80,7 +83,12 @@ def inlining_requirements(config) -> list:
 
 
 def guarded_requirements(config) -> list:
-    return []  # compiles its own demo program, not a suite benchmark
+    return [
+        AnalysisRequest(
+            name, models=(M.SP, M.SP_CD_MF), collect_misprediction_stats=True
+        )
+        for name in DEMOS
+    ]
 
 
 def convergence_requirements(config) -> list:
@@ -290,30 +298,6 @@ def flows_ablation(
     )
 
 
-#: A guard-friendly workload: clamps, abs, max-reductions — the classic
-#: if-conversion targets — over position-hashed data.
-_GUARDED_DEMO = """
-int data[1024];
-int main() {
-    for (int i = 0; i < 1024; i++)
-        data[i] = ((i * 2654435761) >> 7) % 801 - 400;
-    int clamped = 0; int biggest = 0; int negs = 0; int band = 0;
-    for (int rep = 0; rep < 6; rep++) {
-        for (int i = 0; i < 1024; i++) {
-            int v = data[i] + rep;
-            if (v < 0) negs = negs + 1;
-            if (v < 0) v = -v;
-            if (v > 300) v = 300;
-            if (v > biggest) biggest = v;
-            if (v > 100 && v < 200) band = band + 1;
-            clamped += v;
-        }
-    }
-    return clamped + biggest * 7 + negs * 3 + band;
-}
-"""
-
-
 @dataclass
 class GuardedAblation:
     """Effect of if-conversion (guarded moves) on the speculative limits —
@@ -335,33 +319,19 @@ class GuardedAblation:
         return table.render()
 
 
-def guarded_ablation(runner: SuiteRunner | None = None, max_steps: int = 200_000) -> GuardedAblation:
-    """Compare the same workload compiled with branches vs. guarded moves."""
-    from repro.core import LimitAnalyzer
-    from repro.lang import compile_source
-    from repro.prediction import ProfilePredictor
-    from repro.vm import VM
-
+def guarded_ablation(runner: SuiteRunner) -> GuardedAblation:
+    """Compare the demo compiled with branches vs. guarded moves."""
     rows: list[tuple[str, int, float, float, float]] = []
-    for label, if_convert in (("branches", False), ("guarded", True)):
-        program = compile_source(_GUARDED_DEMO, name=f"demo-{label}", if_convert=if_convert)
-        run = VM(program).run(max_steps=max_steps)
-        predictor = ProfilePredictor.from_trace(run.trace)
-        result = LimitAnalyzer(program).analyze(
-            run.trace,
-            models=[M.SP, M.SP_CD_MF],
-            predictor=predictor,
-            collect_misprediction_stats=True,
+    for name in DEMOS:
+        result = runner.analyze(
+            name, models=[M.SP, M.SP_CD_MF], collect_misprediction_stats=True
         )
-        stats = result.misprediction_stats
-        assert stats is not None
-        distances = stats.distances
+        distances = result.misprediction_stats.distances
         mean_distance = sum(distances) / len(distances) if distances else float("inf")
-        branches = sum(1 for _ in run.trace.branch_outcomes())
         rows.append(
             (
-                label,
-                branches,
+                name.removeprefix("demo-"),
+                result.branch_stats.conditional_branches,
                 mean_distance,
                 result[M.SP].parallelism,
                 result[M.SP_CD_MF].parallelism,

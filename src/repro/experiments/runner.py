@@ -1,14 +1,14 @@
 """Shared experiment infrastructure.
 
 A :class:`SuiteRunner` owns the expensive artifacts — compiled programs,
-traces, static analyses, trained predictors — and caches them so the
+traces, branch profiles, analysis results — and caches them so the
 table/figure modules can share one set of runs.  All experiments in a
 session therefore analyze the *same* traces, exactly as the paper derives
 every table and figure from one set of pixie runs.
 
-A benchmark's program and static analysis are built on first use: the
-farm addresses every artifact from the stored asm listing, so a render
-served from a warm cache (Tables 2 and 3, say) compiles nothing.
+A benchmark's program is built on first use: the farm addresses every
+artifact from the stored asm listing, so a render served from a warm
+cache (Tables 2 and 3, say) compiles nothing.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro import telemetry
-from repro.bench import SUITE, BenchmarkSpec
+from repro.bench import BenchmarkSpec, get
 from repro.core import ALL_MODELS, AnalysisResult, MachineModel
 from repro.diagnostics import DiagnosticError, Severity
 from repro.isa import Program
@@ -38,9 +38,6 @@ from repro.jobs import (
     TraceRequest,
 )
 from repro.vm import CorruptArtifactError, Trace
-
-if TYPE_CHECKING:
-    from repro.core.analyzer import LimitAnalyzer
 
 
 class DeadJobError(RuntimeError):
@@ -111,9 +108,9 @@ class BenchmarkRun:
     and never pay the memory.  :attr:`stats` (Table 2) comes from the profile's
     counts, with no pass over the trace.
 
-    :attr:`program` and :attr:`analyzer` are built on first use, so a
-    consumer of the cached profile alone compiles nothing; opening the
-    trace compiles the program, which the reader is bound to.
+    :attr:`program` is built on first use, so a consumer of the cached
+    profile alone compiles nothing; opening the trace compiles the
+    program, which the reader is bound to.
     """
 
     def __init__(
@@ -133,13 +130,6 @@ class BenchmarkRun:
     def program(self) -> Program:
         """The compiled benchmark (memoized per spec and scale)."""
         return self.spec.compile(self.scale)
-
-    @cached_property
-    def analyzer(self) -> LimitAnalyzer:
-        """The limit analyzer over :attr:`program` and its static analysis."""
-        from repro.core.analyzer import LimitAnalyzer
-
-        return LimitAnalyzer(self.program)
 
     @property
     def name(self) -> str:
@@ -279,7 +269,7 @@ class SuiteRunner:
             cache = self._cache
             request = TraceRequest(name)
             run = BenchmarkRun(
-                spec=SUITE[name],
+                spec=get(name),
                 scale=self.config.scale,
                 predictor=self._load(
                     request, lambda keys: cache.load_profile(keys.trace)
@@ -301,16 +291,17 @@ class SuiteRunner:
         from repro.analysis.verify import verify_program
         from repro.vm.sanitize import sanitize_trace
 
+        facts = analyze_static(run.program)
         diagnostics = verify_program(run.program, name=run.name)
-        diagnostics += sanitize_trace(
-            run.trace, analysis=run.analyzer.analysis, name=run.name
-        )
+        diagnostics += sanitize_trace(run.trace, analysis=facts.analysis, name=run.name)
         # Static-vs-dynamic differential gate (STA41x).  The trace may be
         # truncated (the runner does not record whether the VM halted), so
         # the halted-only whole-program bound is skipped; every other claim
-        # is checked record for record.
-        facts = analyze_static(run.program, run.analyzer.analysis)
-        result = run.analyzer.analyze(run.trace, models=[MachineModel.ORACLE])
+        # is checked record for record.  STA412 reads Table 3's result,
+        # loaded without analyze(), which would verify this run again.
+        result = self._load(
+            AnalysisRequest(run.name), lambda keys: self._cache.load_result(keys.result)
+        )
         diagnostics += check_static_vs_dynamic(
             facts, run.trace, result=result, halted=False, name=run.name
         )

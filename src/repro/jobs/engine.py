@@ -53,7 +53,7 @@ from typing import Iterable
 
 from repro import telemetry
 from repro.asm.disassembler import disassemble
-from repro.bench import SUITE
+from repro.bench import get
 from repro.core.results import ENGINES
 from repro.jobs import keys
 from repro.jobs.backends import Completion
@@ -106,8 +106,6 @@ class Planner:
         self,
         cache: ArtifactCache,
         report: FarmReport,
-        telemetry_dir: str | None = None,
-        profile: bool = False,
         engine: str = "fused",
     ):
         self.cache = cache
@@ -115,37 +113,24 @@ class Planner:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.report = report
         self.engine = engine
-        self.telemetry_dir = str(telemetry_dir) if telemetry_dir is not None else None
-        self.profile = profile
-        self._fingerprints: dict[tuple[str, int], str] = {}
-
-    def _telemetry_payload(self) -> tuple[str | None, bool]:
-        """Telemetry directory + profile flag to embed in job payloads.
-
-        Falls back to the process-wide telemetry state so callers that
-        configured telemetry globally need not thread it through here.
-        """
-        directory = self.telemetry_dir
-        if directory is None and telemetry.enabled():
-            configured = telemetry.telemetry_dir()
-            directory = str(configured) if configured is not None else None
-        return directory, self.profile or telemetry.profiling()
+        self._compiled: dict[tuple[str, int], tuple[str, str]] = {}
 
     # -- compile stage (runs in-process during planning) ----------------
 
-    def fingerprint(self, benchmark: str, scale: int) -> str:
-        """Program fingerprint for (benchmark, scale), via the compile stage.
+    def _compile(self, benchmark: str, scale: int) -> tuple[str, str]:
+        """Compile key and program fingerprint of (benchmark, scale).
 
         Cache hit: hash the stored disassembly without compiling.
         Cache miss — or a corrupt cached listing — compile, disassemble,
         store the listing.
         """
-        memo = self._fingerprints.get((benchmark, scale))
+        memo = self._compiled.get((benchmark, scale))
         if memo is not None:
             return memo
-        spec = SUITE[benchmark]
-        source = spec.source(scale)
-        compile_key = keys.compile_key(benchmark, scale, source)
+        spec = get(benchmark)
+        compile_key = keys.compile_key(
+            benchmark, scale, spec.source(scale), spec.if_convert
+        )
         fingerprint = None
         if self.cache.has_asm(compile_key):
             try:
@@ -164,13 +149,13 @@ class Planner:
             self.report.record(
                 compile_key, "compile", benchmark, RUN, time.time() - started
             )
-        self._fingerprints[(benchmark, scale)] = fingerprint
-        return fingerprint
+        self._compiled[(benchmark, scale)] = compile_key, fingerprint
+        return compile_key, fingerprint
 
     # -- downstream stages ----------------------------------------------
 
     def _resolve(self, request: Request, default_scale, default_max_steps):
-        spec = SUITE[request.benchmark]
+        spec = get(request.benchmark)
         scale = default_scale if default_scale is not None else spec.default_scale
         max_steps = (
             request.max_steps if request.max_steps is not None else default_max_steps
@@ -190,13 +175,8 @@ class Planner:
         memoized), without adding any jobs to a graph.
         """
         scale, max_steps = self._resolve(request, default_scale, default_max_steps)
-        spec = SUITE[request.benchmark]
-        compile_key = keys.compile_key(
-            request.benchmark, scale, spec.source(scale)
-        )
-        trace_key = keys.trace_key(
-            self.fingerprint(request.benchmark, scale), scale, max_steps
-        )
+        compile_key, fingerprint = self._compile(request.benchmark, scale)
+        trace_key = keys.trace_key(fingerprint, scale, max_steps)
         result_key = None
         if isinstance(request, AnalysisRequest):
             result_key = keys.result_key(trace_key, self.engine, request.options())
@@ -209,11 +189,12 @@ class Planner:
         default_max_steps: int,
     ) -> JobGraph:
         graph = JobGraph()
-        telemetry_dir, profile = self._telemetry_payload()
+        # Jobs inherit the process-wide telemetry directory and profiling.
+        directory = telemetry.telemetry_dir() if telemetry.enabled() else None
         shared = {
             "cache_dir": str(self.cache.root),
-            "telemetry": telemetry_dir,
-            "profiling": profile,
+            "telemetry": str(directory) if directory is not None else None,
+            "profiling": telemetry.profiling(),
         }
         for request in requests:
             scale, max_steps = self._resolve(

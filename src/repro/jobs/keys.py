@@ -8,10 +8,10 @@ is a SHA-256 digest of *everything that determines its content*:
 * the package version (``repro.__version__``), so upgrades never serve
   stale artifacts produced by older code;
 * the RTRC trace-format version for trace artifacts;
-* the benchmark's generated MiniC source (compile keys) or the compiled
-  program's *fingerprint* — a digest of its disassembled object code —
-  for everything downstream, so any change to the source or the code
-  generator invalidates dependent artifacts;
+* the benchmark's MiniC source and if-conversion flag (compile keys) or
+  the compiled program's *fingerprint* — a digest of its disassembled
+  object code — for everything downstream, so any change to the source
+  or the code generator invalidates dependent artifacts;
 * the workload scale, the trace budget, and the analyzer engine and
   option set.
 
@@ -56,8 +56,8 @@ def fingerprint_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def compile_key(benchmark: str, scale: int, source: str) -> str:
-    """Key of the compile stage: benchmark source at one workload scale."""
+def compile_key(benchmark: str, scale: int, source: str, if_convert: bool = False) -> str:
+    """Key of the compile stage: benchmark source, scale and if-conversion."""
     return _digest(
         {
             "kind": "compile",
@@ -66,6 +66,7 @@ def compile_key(benchmark: str, scale: int, source: str) -> str:
             "benchmark": benchmark,
             "scale": scale,
             "source": source,
+            "if_convert": if_convert,
         }
     )
 

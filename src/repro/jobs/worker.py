@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 
 from repro import telemetry
-from repro.bench import SUITE
+from repro.bench import get
 from repro.core import MachineModel
 from repro.isa import OpKind
 from repro.jobs import faults
@@ -92,7 +92,7 @@ def _artifact_path(payload: dict):
 
 
 def _program(payload: dict):
-    return SUITE[payload["benchmark"]].compile(payload["scale"])
+    return get(payload["benchmark"]).compile(payload["scale"])
 
 
 def _trace_job(payload: dict) -> None:

@@ -114,14 +114,55 @@ class TestFlowsAblation:
 
 
 class TestGuardedAblation:
-    def test_guarded_variant_reduces_branches(self):
-        result = ablations.guarded_ablation(max_steps=60_000)
+    #: Both demo variants halt within this budget (at 128,092 and 145,744).
+    BUDGET = 150_000
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        runner = SuiteRunner(RunConfig(max_steps=self.BUDGET))
+        return ablations.guarded_ablation(runner)
+
+    def test_guarded_variant_reduces_branches(self, result):
         (_, plain_branches, *_), (_, guarded_branches, *_) = result.rows
         assert guarded_branches < plain_branches
 
-    def test_render(self):
-        text = ablations.guarded_ablation(max_steps=40_000).render()
+    def test_render(self, runner):
+        text = ablations.guarded_ablation(runner).render()
         assert "guarded" in text
+
+    def test_farm_rows_equal_an_in_process_reference(self, result):
+        """The farm's rows equal the demo analyzed the way the ablation
+        once did in-process: the legacy VM's trace, a profile trained on
+        it, and a LimitAnalyzer over the freshly compiled variant."""
+        from repro.bench import DEMOS
+        from repro.core import LimitAnalyzer
+        from repro.core import MachineModel as M
+        from repro.lang import compile_source
+        from repro.prediction import ProfilePredictor
+        from repro.vm import VM
+
+        source = DEMOS["demo-branches"].source(1)
+        reference = []
+        for label, if_convert in (("branches", False), ("guarded", True)):
+            program = compile_source(source, name=f"demo-{label}", if_convert=if_convert)
+            trace = VM(program).run(max_steps=self.BUDGET).trace
+            analysis = LimitAnalyzer(program).analyze(
+                trace,
+                models=[M.SP, M.SP_CD_MF],
+                predictor=ProfilePredictor.from_trace(trace),
+                collect_misprediction_stats=True,
+            )
+            distances = analysis.misprediction_stats.distances
+            reference.append(
+                (
+                    label,
+                    sum(1 for _ in trace.branch_outcomes()),
+                    sum(distances) / len(distances),
+                    analysis[M.SP].parallelism,
+                    analysis[M.SP_CD_MF].parallelism,
+                )
+            )
+        assert result.rows == reference
 
 
 class TestConvergenceAblation:

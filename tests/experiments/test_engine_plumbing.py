@@ -69,6 +69,7 @@ ABLATIONS = [
     "ablation-window",
     "ablation-latency",
     "ablation-flows",
+    "ablation-guarded",
 ]
 
 

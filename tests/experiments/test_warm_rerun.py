@@ -24,6 +24,7 @@ from repro.core import LimitAnalyzer
 from repro.experiments.cli import main
 
 TABLES = ["table2", "table3", "--max-steps", "4000"]
+GUARDED = ["ablation-guarded", "--max-steps", "4000"]
 
 
 @pytest.fixture(scope="module")
@@ -36,24 +37,40 @@ def cold(tmp_path_factory):
     return cache, out.getvalue()
 
 
-def test_warm_rerun_compiles_nothing(cold, capsys, monkeypatch):
-    cache, cold_out = cold
-    compiles = []
+@pytest.fixture(scope="module")
+def cold_guarded(cold):
+    """The stdout of a cold ``ablation-guarded`` run into the same cache."""
+    cache, _ = cold
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(GUARDED + ["--cache-dir", str(cache)]) == 0
+    return out.getvalue()
+
+
+def count_analyzers(monkeypatch) -> list:
+    """Record every LimitAnalyzer built from now on."""
     analyzers = []
-
-    def refuse(source, **kwargs):
-        compiles.append(kwargs.get("name"))
-        raise AssertionError(f"a warm rerun compiled {kwargs.get('name')}")
-
     init = LimitAnalyzer.__init__
 
     def counted(self, *args, **kwargs):
         analyzers.append(self)
         init(self, *args, **kwargs)
 
+    monkeypatch.setattr(LimitAnalyzer, "__init__", counted)
+    return analyzers
+
+
+def test_warm_rerun_compiles_nothing(cold, capsys, monkeypatch):
+    cache, cold_out = cold
+    compiles = []
+
+    def refuse(source, **kwargs):
+        compiles.append(kwargs.get("name"))
+        raise AssertionError(f"a warm rerun compiled {kwargs.get('name')}")
+
     monkeypatch.setattr(repro.bench.spec, "_CACHE", {})
     monkeypatch.setattr(repro.lang.compiler, "compile_source", refuse)
-    monkeypatch.setattr(LimitAnalyzer, "__init__", counted)
+    analyzers = count_analyzers(monkeypatch)
     assert main(TABLES + ["--cache-dir", str(cache)]) == 0
     captured = capsys.readouterr()
     assert captured.out == cold_out
@@ -70,6 +87,18 @@ def test_program_consumers_still_render_warm(cold, capsys):
     table2 = capsys.readouterr().out
     assert table2.startswith("Table 2: Branch Statistics")
     assert cold_out.startswith(table2)
+
+
+def test_warm_verify_executes_no_job(cold, capsys, monkeypatch):
+    # The ORACLE check reads Table 3's cached result: no job, no analyzer.
+    cache, cold_out = cold
+    analyzers = count_analyzers(monkeypatch)
+    args = ["table3", "--verify", "--max-steps", "4000", "--cache-dir", str(cache)]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out in cold_out
+    assert re.search(r"\[farm\] total \d+ jobs: 0 executed", captured.err)
+    assert analyzers == []
 
 
 def test_farm_timing_line(cold, capsys, tmp_path):
@@ -99,16 +128,16 @@ def render(args):
         code = main(args + ["--cache-dir", sys.argv[1]])
     return code, out.getvalue()
 
-report = {"warm": render(%r)}
+report = {"warm": render(%r), "guarded": render(%r)}
 report["warm_loaded"] = [m for m in HEAVY if m in sys.modules]
 report["mix"] = render(["mix", "--max-steps", "4000"])
 report["verify"] = render(["table2", "--verify", "--max-steps", "4000"])
 report["demand_loaded"] = [m for m in HEAVY if m in sys.modules]
 print(json.dumps(report))
-""" % (TABLES,)
+""" % (TABLES, GUARDED)
 
 
-def test_warm_render_imports_no_compiler_or_analyzer(cold):
+def test_warm_render_imports_no_compiler_or_analyzer(cold, cold_guarded):
     cache, cold_out = cold
     src = Path(repro.__file__).resolve().parents[1]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
@@ -123,14 +152,12 @@ def test_warm_render_imports_no_compiler_or_analyzer(cold):
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert report["warm"] == [0, cold_out]
+    assert report["guarded"] == [0, cold_guarded]
     assert report["warm_loaded"] == []
     # Consumers of the program and its static analysis load them on demand.
     assert report["mix"][0] == 0
     assert "Dynamic instruction mix" in report["mix"][1]
     assert report["verify"][0] == 0
     assert cold_out.startswith(report["verify"][1])
-    assert report["demand_loaded"] == [
-        "repro.lang.compiler",
-        "repro.analysis.cfg",
-        "repro.core.analyzer",
-    ]
+    # --verify's ORACLE check reads the farm's result, not an analyzer.
+    assert report["demand_loaded"] == ["repro.lang.compiler", "repro.analysis.cfg"]

@@ -75,6 +75,25 @@ class TestPlanner:
         # Only the in-planner compile stage ran; no job was planned.
         assert {record.stage for record in report.records.values()} == {"compile"}
 
+    def test_unknown_program_rejected_before_any_job_runs(self, cache):
+        from repro.experiments import RunConfig, SuiteRunner
+
+        report = FarmReport()
+        with pytest.raises(KeyError) as excinfo:
+            plan(cache, report, [TraceRequest("awk"), AnalysisRequest("nope")])
+        message = str(excinfo.value)
+        assert "unknown benchmark 'nope'" in message
+        assert "awk, ccom" in message and "demo-branches, demo-guarded" in message
+        # Only awk's in-planner compile stage ran; no job was planned.
+        assert {record.stage for record in report.records.values()} == {"compile"}
+        # The runner's lookups go through the same planner.
+        runner = SuiteRunner(RunConfig(max_steps=MAX_STEPS, cache_dir=cache.root))
+        with pytest.raises(KeyError, match="unknown benchmark 'nope'"):
+            runner.analyze("nope")
+        with pytest.raises(KeyError, match="unknown benchmark 'nope'"):
+            runner.prefetch([TraceRequest("nope")])
+        assert runner.farm_report.records == {}
+
     def test_unknown_engine_rejected_by_the_planner(self, cache):
         with pytest.raises(ValueError, match="unknown engine 'turbo'"):
             Planner(cache, FarmReport(), engine="turbo")

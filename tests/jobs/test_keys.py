@@ -35,6 +35,8 @@ class TestInvalidation:
         base = keys.compile_key("awk", 1, "int main() { return 0; }")
         mutated = keys.compile_key("awk", 1, "int main() { return 1; }")
         assert base != mutated
+        guarded = keys.compile_key("awk", 1, "int main() { return 0; }", True)
+        assert base != guarded
 
     def test_program_fingerprint_invalidates_trace_key(self):
         fp_a = keys.fingerprint_text("addi $t0, $t0, 1")

@@ -157,9 +157,11 @@ class TestLimitEffects:
         assert guarded > plain
 
     def test_guarded_ablation_shows_sp_gain(self):
+        from repro.experiments import RunConfig, SuiteRunner
         from repro.experiments.ablations import guarded_ablation
 
-        result = guarded_ablation(max_steps=100_000)
+        # The budget lets both demo variants run to completion.
+        result = guarded_ablation(SuiteRunner(RunConfig(max_steps=150_000)))
         (_, b_branches, b_dist, b_sp, _), (_, g_branches, g_dist, g_sp, _) = result.rows
         assert g_branches < b_branches
         assert g_dist > 2 * b_dist
