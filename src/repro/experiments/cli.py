@@ -10,8 +10,6 @@ Usage::
     repro-experiments --no-cache         # a throwaway cache, removed at exit
     repro-experiments --legacy-engine    # per-model analyzer sweep (oracle)
     repro-experiments --telemetry-dir T --metrics --profile  # observability
-    repro-experiments --retries 3 --job-timeout 120  # farm fault tolerance
-    repro-experiments --inject-faults "stage=trace,mode=raise,times=1,seed=7"
     repro-experiments --list
 
 Tables and figures go to stdout; timing lines and the farm's report go
@@ -35,7 +33,7 @@ from typing import Callable
 from repro import telemetry
 from repro.asm import AsmError
 from repro.diagnostics import DiagnosticError
-from repro.jobs import ArtifactCache, FaultPlan, FaultSpecError
+from repro.jobs import ArtifactCache
 from repro.lang.errors import CompileError
 from repro.experiments import (
     ablations,
@@ -189,32 +187,6 @@ def main(argv: list[str] | None = None) -> int:
         "the telemetry directory (requires --telemetry-dir)",
     )
     parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="requeue a failed farm job up to N times (with exponential "
-        "backoff and deterministic jitter) before quarantining it as dead "
-        "(default 2)",
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per farm job attempt; a job exceeding it "
-        "is failed (and its hung worker killed) then retried "
-        "(default: unbounded)",
-    )
-    parser.add_argument(
-        "--inject-faults",
-        metavar="SPEC",
-        default=None,
-        help="arm the deterministic fault injector (chaos testing), e.g. "
-        "'stage=trace,mode=raise,rate=0.5,times=1,seed=7' "
-        "(see docs/robustness.md)",
-    )
-    parser.add_argument(
         "--quiet",
         action="store_true",
         help="suppress stderr chatter (timing lines and the farm report)",
@@ -250,15 +222,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--metrics requires --telemetry-dir")
     if args.profile and args.telemetry_dir is None:
         parser.error("--profile requires --telemetry-dir")
-    if args.retries < 0:
-        parser.error("--retries must be non-negative")
-    if args.job_timeout is not None and args.job_timeout <= 0:
-        parser.error("--job-timeout must be positive")
-    if args.inject_faults is not None:
-        try:
-            FaultPlan.from_spec(args.inject_faults)
-        except FaultSpecError as exc:
-            parser.error(f"--inject-faults: {exc}")
 
     if args.no_cache:
         cache_dir = None  # the runner makes a throwaway cache
@@ -283,9 +246,6 @@ def main(argv: list[str] | None = None) -> int:
             engine="legacy" if args.legacy_engine else "fused",
             telemetry_dir=args.telemetry_dir,
             profile=args.profile,
-            retries=args.retries,
-            job_timeout=args.job_timeout,
-            inject_faults=args.inject_faults,
         )
     )
     try:

@@ -34,7 +34,6 @@ from repro.jobs import (
     ExecutionEngine,
     FarmReport,
     Planner,
-    RetryPolicy,
     TraceRequest,
 )
 from repro.vm import CorruptArtifactError, Trace
@@ -76,13 +75,11 @@ class RunConfig:
     registry fills in.  ``profile`` additionally arms the opt-in cProfile
     hooks.  Both default to off, which costs nothing.
 
-    ``retries`` bounds how many times a failed farm job is requeued
-    (with exponential backoff and deterministic jitter) before it is
-    quarantined as dead; ``job_timeout`` is the per-attempt wall-clock
-    budget in seconds (None: unbounded).  ``inject_faults`` arms the
-    deterministic fault injector with a spec string (see
-    :mod:`repro.jobs.faults`) — chaos-testing only.  See
-    ``docs/robustness.md``.
+    A farm job that fails is dead on its first failure: there is no
+    retry setting, because every job is a pure function of its content
+    key and would fail the same way again.  Rerunning with the same
+    config is the retry: it executes exactly the jobs whose artifacts
+    are missing.  See ``docs/robustness.md``.
     """
 
     max_steps: int = 150_000
@@ -93,9 +90,6 @@ class RunConfig:
     engine: str = "fused"
     telemetry_dir: str | Path | None = None
     profile: bool = False
-    retries: int = 2
-    job_timeout: float | None = None
-    inject_faults: str | None = None
 
 
 class BenchmarkRun:
@@ -198,29 +192,29 @@ class SuiteRunner:
         across ``RunConfig.jobs`` worker processes (serially in-process
         for ``jobs=1``).  Subsequent :meth:`run` / :meth:`analyze` calls
         then find every job a cache hit and only load the artifacts.
+
+        With ``RunConfig.verify`` set, every benchmark the requests name
+        also gets its full-model analysis: :meth:`_verify` reads it for
+        the STA412 ORACLE check, and would otherwise retire it serially
+        while rendering.
         """
+        requests = list(requests)
+        if self.config.verify:
+            benchmarks = dict.fromkeys(request.benchmark for request in requests)
+            requests += [AnalysisRequest(name) for name in benchmarks]
         self._retire(requests, self.config.jobs)
 
     def _retire(self, requests: Iterable, jobs: int) -> None:
         graph = self._planner.plan(
             requests, self.config.scale, self.config.max_steps
         )
-        engine = ExecutionEngine(
-            self._cache,
-            jobs=jobs,
-            retry=RetryPolicy(
-                max_attempts=self.config.retries + 1,
-                job_timeout=self.config.job_timeout,
-            ),
-            faults=self.config.inject_faults,
-        )
-        engine.execute(graph, self.farm_report)
+        ExecutionEngine(self._cache, jobs).execute(graph, self.farm_report)
 
     def _load(self, request, load):
         """Retire *request* serially through the farm, then ``load(keys)``.
 
         The farm skips every job whose artifact the cache already holds.
-        A job that died (its retries ran out) raises :class:`DeadJobError`
+        A job that died raises :class:`DeadJobError`
         with its last failure.  A load that finds its artifact corrupt
         has already quarantined it, so the request is retired once more
         to re-produce it; a second failure propagates.
@@ -229,7 +223,7 @@ class SuiteRunner:
             request, self.config.scale, self.config.max_steps
         )
         # A job that already died (during prefetch, or for an earlier
-        # experiment) is not run again: its fault would fire twice.
+        # experiment) is not run again: it would fail the same way twice.
         self._raise_if_dead(keys)
         self._retire([request], jobs=1)
         self._raise_if_dead(keys)
@@ -241,8 +235,8 @@ class SuiteRunner:
             stale = self.farm_report.records.pop(exc.key, None)
             if stale is not None:
                 self.farm_report.record_failure(
-                    exc.key, stale.stage, stale.benchmark, "corrupt", 1,
-                    str(exc), retried=True,
+                    exc.key, stale.stage, stale.benchmark, "corrupt",
+                    str(exc), fatal=False,
                 )
             self._retire([request], jobs=1)
             return load(keys)

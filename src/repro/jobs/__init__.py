@@ -9,12 +9,9 @@ experiments only recomputes what changed.  See ``docs/jobs.md``.
 
 The farm is also the pipeline's reliability substrate: artifacts carry
 sidecar checksums and corrupt entries are quarantined and re-produced,
-failed jobs are retried under a bounded :class:`RetryPolicy`, hung jobs
-are timed out, dead jobs are quarantined with full provenance, a killed
-run is finished by rerunning it (the cache holds every job it retired),
-and a deterministic fault injector (:mod:`repro.jobs.faults`) exercises
-all of it on demand.  See
-``docs/robustness.md``.
+a failed job is quarantined as dead with full provenance on its first
+failure, and a killed or partly dead run is finished by rerunning it
+(the cache holds every job it retired).  See ``docs/robustness.md``.
 """
 
 from repro.jobs.backends import Completion, ExecutorBackend
@@ -26,7 +23,6 @@ from repro.jobs.engine import (
     Planner,
     RequestKeys,
 )
-from repro.jobs.faults import FaultClause, FaultPlan, FaultSpecError, InjectedFault
 from repro.jobs.report import (
     DEAD,
     HIT,
@@ -36,7 +32,6 @@ from repro.jobs.report import (
     JobRecord,
 )
 from repro.jobs.requests import AnalysisRequest, Request, TraceRequest
-from repro.jobs.retry import JobTimeout, RetryPolicy
 
 __all__ = [
     "AnalysisRequest",
@@ -47,19 +42,13 @@ __all__ = [
     "ExecutorBackend",
     "FailureRecord",
     "FarmReport",
-    "FaultClause",
-    "FaultPlan",
-    "FaultSpecError",
     "HIT",
-    "InjectedFault",
     "Job",
     "JobGraph",
     "JobRecord",
-    "JobTimeout",
     "Planner",
     "RUN",
     "Request",
     "RequestKeys",
-    "RetryPolicy",
     "TraceRequest",
 ]

@@ -7,38 +7,21 @@ exchange artifacts exclusively through the content-addressed cache, so
 results are byte-identical regardless of worker count or scheduling
 order.
 
-Timeouts are enforced by condemnation: a hung worker cannot be cancelled
-through the executor API, so any expired deadline condemns the whole
-pool.  Condemnation first *harvests* every future that actually finished
-— their jobs retire normally, and can therefore never be requeued and
-executed twice (the double-execution bug the old degradation path had) —
-then charges expired jobs a timeout, fails the unfinished rest as
-uncharged victims, and marks the backend broken so the engine rebuilds
-it (or degrades to serial once :attr:`~repro.jobs.retry.RetryPolicy.
-max_pool_rebuilds` is exhausted).
+A worker that dies breaks the whole pool, and the culprit cannot be told
+from its pool-mates.  The backend then *condemns* the pool: every
+in-flight future that actually finished settles with its own outcome,
+the unfinished rest fail with :class:`BrokenProcessPool`, and the
+backend reports itself broken so the engine continues on a fresh pool.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 
 from repro.jobs.backends.base import Completion
 from repro.jobs.graph import Job
-from repro.jobs.retry import JobTimeout
 from repro.jobs.worker import execute_job
-
-
-@dataclass
-class _InFlight:
-    """Bookkeeping for one submitted job."""
-
-    job: Job
-    attempt: int
-    deadline: float | None
-    timeout: float | None
 
 
 class PoolBackend:
@@ -49,14 +32,12 @@ class PoolBackend:
     this and runs serially).
     """
 
-    name = "pool"
-
     def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("pool backend needs a positive worker count")
         self.workers = workers
         self._pool = ProcessPoolExecutor(max_workers=workers)
-        self._running: dict[Future, _InFlight] = {}
+        self._running: dict[Future, Job] = {}
         self._broken = False
 
     @property
@@ -72,40 +53,29 @@ class PoolBackend:
         # failure settles before the whole ready set is committed.
         return not self._broken and len(self._running) < 2 * self.workers
 
-    def submit(self, job: Job, payload: dict, attempt: int,
-               timeout: float | None) -> None:
-        deadline = time.monotonic() + timeout if timeout else None
+    def submit(self, job: Job, payload: dict) -> None:
         try:
             future = self._pool.submit(execute_job, payload)
         except (BrokenProcessPool, RuntimeError) as exc:
             self._broken = True
             raise BrokenProcessPool(str(exc) or "process pool is broken") from exc
-        self._running[future] = _InFlight(job, attempt, deadline, timeout)
+        self._running[future] = job
 
     def poll(self, timeout: float) -> list[Completion]:
         if not self._running:
             return []
-        finished, _ = wait(
-            self._running,
-            timeout=self._wait_budget(timeout),
-            return_when=FIRST_COMPLETED,
-        )
-        completions: list[Completion] = []
-        pool_broken = False
-        for future in finished:
-            entry = self._running.pop(future)
-            completion = self._settle(future, entry)
-            if isinstance(completion.error, BrokenProcessPool):
-                pool_broken = True
-            completions.append(completion)
-        if pool_broken:
-            completions.extend(self._condemn(pool_died=True))
-        elif self._deadline_expired():
-            completions.extend(self._condemn(pool_died=False))
+        finished, _ = wait(self._running, timeout=timeout, return_when=FIRST_COMPLETED)
+        completions = [
+            self._settle(future, self._running.pop(future)) for future in finished
+        ]
+        if self._broken or any(
+            isinstance(c.error, BrokenProcessPool) for c in completions
+        ):
+            completions.extend(self._condemn())
         return completions
 
     def shutdown(self) -> None:
-        """Tear the pool down without waiting on hung or dead workers."""
+        """Tear the pool down without waiting on dead workers."""
         processes = []
         try:
             processes = list((self._pool._processes or {}).values())
@@ -120,71 +90,31 @@ class PoolBackend:
 
     # -- internals -------------------------------------------------------
 
-    def _wait_budget(self, timeout: float) -> float:
-        """Block at most *timeout*, shortened to the nearest deadline."""
-        now = time.monotonic()
-        deadlines = [
-            e.deadline for e in self._running.values() if e.deadline is not None
-        ]
-        if deadlines:
-            timeout = min(timeout, max(0.01, min(deadlines) - now))
-        return timeout
-
-    def _deadline_expired(self) -> bool:
-        now = time.monotonic()
-        return any(
-            e.deadline is not None and now > e.deadline
-            for e in self._running.values()
-        )
-
     @staticmethod
-    def _settle(future: Future, entry: _InFlight) -> Completion:
+    def _settle(future: Future, job: Job) -> Completion:
         try:
             record = future.result()
         except Exception as exc:
-            return Completion(entry.job, entry.attempt, error=exc)
-        return Completion(entry.job, entry.attempt, record=record)
+            return Completion(job, error=exc)
+        return Completion(job, record=record)
 
-    def _condemn(self, pool_died: bool) -> list[Completion]:
+    def _condemn(self) -> list[Completion]:
         """Settle every in-flight future of a pool that must die.
 
         Futures that *finished* — even between the dispatcher's ``wait``
-        and this condemnation — retire normally: requeuing them would
-        execute their job a second time even though its artifact
-        already landed.  Of the rest, a crashed pool
-        charges everyone (the culprit cannot be told apart from its
-        pool-mates, which stays deterministic), while a timeout
-        condemnation charges only the expired jobs and requeues the
-        innocent in-flight rest uncharged.
+        and this condemnation — settle with their own outcome, so a job
+        that completed is never reported dead.  The rest fail with
+        :class:`BrokenProcessPool`; the engine still retires any of them
+        whose artifact landed before the pool died.
         """
         self._broken = True
-        now = time.monotonic()
-        completions: list[Completion] = []
-        for future, entry in list(self._running.items()):
-            if future.done() and not future.cancelled():
-                completions.append(self._settle(future, entry))
-            elif entry.deadline is not None and now > entry.deadline:
-                # A deadline exists only when the attempt had a timeout.
-                completions.append(
-                    Completion(
-                        entry.job,
-                        entry.attempt,
-                        error=JobTimeout(
-                            f"job exceeded its {entry.timeout:.1f}s "
-                            f"wall-clock budget"
-                        ),
-                    )
-                )
-            else:
-                completions.append(
-                    Completion(
-                        entry.job,
-                        entry.attempt,
-                        error=BrokenProcessPool(
-                            "worker process died unexpectedly"
-                        ),
-                        charged=pool_died,
-                    )
-                )
+        completions = [
+            self._settle(future, job)
+            if future.done() and not future.cancelled()
+            else Completion(
+                job, error=BrokenProcessPool("worker process died unexpectedly")
+            )
+            for future, job in self._running.items()
+        ]
         self._running.clear()
         return completions

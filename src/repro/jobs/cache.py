@@ -30,7 +30,7 @@ trusts an artifact whose checksum has not been published yet.
 
 Every artifact carries a sidecar checksum (``<name>.sha256``) written
 from the exact bytes stored.  Loads verify it: a mismatch (torn write,
-bit rot, a fault-injected truncation) moves the artifact and its sidecar
+bit rot, a truncated file) moves the artifact and its sidecar
 into ``corrupt/`` and raises :class:`~repro.vm.trace_io.
 CorruptArtifactError`, whose ``key`` lets the execution engine re-produce
 exactly the damaged artifact instead of crashing the run.  An artifact
@@ -354,8 +354,8 @@ class _QuarantiningTraceReader(TraceReader):
     """A :class:`TraceReader` whose mid-stream failures quarantine.
 
     Checksum verification happens before the reader is handed out, but a
-    checksum-consistent artifact can still be unparseable (stored damaged
-    under fault injection).  Construction and the lazy :meth:`chunks` /
+    checksum-consistent artifact can still be unparseable (damaged before
+    it was stored).  Construction and the lazy :meth:`chunks` /
     :meth:`to_trace` paths translate those failures into the cache's
     quarantine-and-raise protocol so the farm can re-produce the trace.
     """

@@ -1,4 +1,4 @@
-"""Job graph construction and the fault-tolerant execution engine.
+"""Job graph construction and the execution engine.
 
 The planner expands a pooled list of experiment requests into a
 deduplicated :class:`JobGraph` sharded at (benchmark × stage)
@@ -24,24 +24,24 @@ artifacts exclusively through the content-addressed cache (see
 :mod:`repro.jobs.worker`), so results are byte-identical regardless of
 backend, worker count, or scheduling order.
 
-The engine treats partial failure the way a speculative machine treats
-misspeculation — detect, discard, re-execute:
+Every job is a pure function of its content key, so a job that fails
+would fail the same way again: its first failed attempt is final.
 
-* a failed attempt is retried under the :class:`~repro.jobs.retry.
-  RetryPolicy` (bounded attempts, exponential backoff with deterministic
-  jitter, optional per-attempt wall-clock timeouts);
-* a job that exhausts its budget is quarantined as *dead* — with its
-  dependents — and the run continues; full provenance lands in the
-  :class:`~repro.jobs.report.FarmReport`;
+* a failed job is recorded with its failure kind and message and
+  quarantined as *dead* — with its dependents — and the run continues;
+  full provenance lands in the :class:`~repro.jobs.report.FarmReport`;
 * a :class:`~repro.vm.trace_io.CorruptArtifactError` from a consumer
   re-enqueues the *producer* of the damaged (and now quarantined)
-  artifact, then the consumer, so corruption heals instead of crashing;
-* a broken process pool (crashed worker) is rebuilt; if pools keep
-  dying the engine degrades to serial in-process execution.
+  artifact, then the consumer — once per consumer, so a producer whose
+  output is corrupt every time ends in a dead consumer, not a loop;
+* a broken process pool (crashed worker) kills every in-flight job whose
+  artifact did not land — the culprit cannot be told from its
+  pool-mates — and the rest of the graph runs on a fresh pool.
 
-The cache is the farm's only memory: a killed invocation recovers when
-the same command is rerun, because every job that finished published its
-artifact and is a hit the second time.
+The cache is the farm's only memory, and rerunning is its only retry: a
+killed or partly dead invocation recovers when the same command is
+rerun, because every job that finished published its artifact and is a
+hit the second time.
 """
 
 from __future__ import annotations
@@ -58,11 +58,9 @@ from repro.core.results import ENGINES
 from repro.jobs import keys
 from repro.jobs.backends import Completion
 from repro.jobs.cache import ArtifactCache
-from repro.jobs.faults import FaultPlan
 from repro.jobs.graph import Job, JobGraph
 from repro.jobs.report import DEAD, HIT, RUN, FarmReport
 from repro.jobs.requests import AnalysisRequest, Request
-from repro.jobs.retry import JobTimeout, RetryPolicy
 from repro.vm.trace_io import CorruptArtifactError
 
 __all__ = [
@@ -97,7 +95,7 @@ class Planner:
     """Expands requests into a job graph against one cache/config.
 
     ``engine`` names the analyzer engine every analysis job runs: run
-    policy, like the fault plan, but it goes into each result's key, so
+    policy, but it goes into each result's key, so
     a legacy result is cached apart from a fused one.  An unknown
     engine is rejected here, not left to kill every analysis job.
     """
@@ -138,8 +136,8 @@ class Planner:
                 self.report.record(compile_key, "compile", benchmark, HIT)
             except CorruptArtifactError as exc:
                 self.report.record_failure(
-                    compile_key, "compile", benchmark, "corrupt", 1, str(exc),
-                    retried=True,
+                    compile_key, "compile", benchmark, "corrupt", str(exc),
+                    fatal=False,
                 )
         if fingerprint is None:
             started = time.time()
@@ -241,74 +239,37 @@ class Planner:
 
 
 class _RunState:
-    """Mutable bookkeeping shared by the serial and parallel executors."""
+    """Mutable bookkeeping of one graph's execution."""
 
     def __init__(self, graph: JobGraph, pending: dict, done: set):
         self.graph = graph
         self.pending = pending
         self.done = done
         self.dead: set[str] = set()
-        self.attempts: dict[str, int] = {}
-        #: Monotonic deadline before which a requeued job may not run.
-        self.not_before: dict[str, float] = {}
-        #: Corrupt-input heals granted per consumer (bounds heal cycles).
-        self.corrupt_heals: dict[str, int] = {}
+        #: Consumers already granted their one corrupt-input heal.
+        self.healed: set[str] = set()
 
-    def next_attempt(self, key: str) -> int:
-        attempt = self.attempts.get(key, 0) + 1
-        self.attempts[key] = attempt
-        return attempt
-
-    def unwind_attempt(self, key: str) -> None:
-        """Forget an attempt that never ran (e.g. a cancelled submit)."""
-        if self.attempts.get(key, 0) > 0:
-            self.attempts[key] -= 1
-
-    def runnable(self, now: float) -> list[Job]:
+    def runnable(self) -> list[Job]:
         return [
             job
             for job in self.pending.values()
             if all(dep in self.done for dep in job.deps)
-            and self.not_before.get(job.key, 0.0) <= now
         ]
-
-    def earliest_backoff(self) -> float | None:
-        deadlines = [
-            self.not_before[job.key]
-            for job in self.pending.values()
-            if job.key in self.not_before
-            and all(dep in self.done for dep in job.deps)
-        ]
-        return min(deadlines) if deadlines else None
 
 
 class ExecutionEngine:
     """Retires a job graph through a pluggable executor backend.
 
-    ``retry`` bounds attempts, backoff, and per-attempt timeouts;
-    ``faults`` arms the deterministic fault injector (a spec string or a
-    :class:`~repro.jobs.faults.FaultPlan`).  A job whose artifact is
-    already cached is a hit and never dispatched.
-
-    The executor is a local process pool of ``jobs`` workers when
-    ``jobs > 1``, else serial in-process execution.
+    A job whose artifact is already cached is a hit and never
+    dispatched.  The executor is a local process pool of ``jobs``
+    workers when ``jobs > 1``, else serial in-process execution.
     """
 
-    def __init__(
-        self,
-        cache: ArtifactCache,
-        jobs: int = 1,
-        retry: RetryPolicy | None = None,
-        faults: str | FaultPlan | None = None,
-    ):
+    def __init__(self, cache: ArtifactCache, jobs: int = 1):
         if jobs < 1:
             raise ValueError("jobs must be a positive worker count")
         self.cache = cache
         self.jobs = jobs
-        self.retry = retry if retry is not None else RetryPolicy()
-        if isinstance(faults, str):
-            faults = FaultPlan.from_spec(faults)
-        self.faults = faults
 
     def execute(self, graph: JobGraph, report: FarmReport) -> None:
         done: set[str] = set()
@@ -354,12 +315,9 @@ class ExecutionEngine:
 
     # -- payloads -------------------------------------------------------
 
-    def _payload(self, job: Job, attempt: int, in_process: bool) -> dict:
-        payload = dict(job.payload, attempt=attempt)
-        if in_process:
-            payload["in_process"] = True
-        if self.faults is not None:
-            payload["faults"] = self.faults.to_spec()
+    @staticmethod
+    def _payload(job: Job) -> dict:
+        payload = dict(job.payload)
         if telemetry.enabled():
             # The worker's job.<stage> span parents to the open span here
             # (farm.execute) in the run's trace.  Only set when telemetry
@@ -373,8 +331,6 @@ class ExecutionEngine:
 
     @staticmethod
     def _classify(exc: BaseException) -> str:
-        if isinstance(exc, JobTimeout):
-            return "timeout"
         if isinstance(exc, CorruptArtifactError):
             return "corrupt"
         if isinstance(exc, BrokenProcessPool):
@@ -386,67 +342,50 @@ class ExecutionEngine:
         state: _RunState,
         report: FarmReport,
         job: Job,
-        attempt: int,
         exc: BaseException,
     ) -> None:
-        """Requeue a failed attempt, or quarantine the job as dead."""
+        """Heal a corrupt input, or quarantine the job as dead."""
         kind = self._classify(exc)
         if kind == "corrupt" and self._requeue_corrupt_producer(
-            state, report, job, attempt, exc
+            state, report, job, exc
         ):
             return
-        fatal = attempt >= self.retry.max_attempts
-        message = str(exc) or type(exc).__name__
         report.record_failure(
-            job.key, job.stage, job.benchmark, kind, attempt, message,
-            retried=not fatal,
+            job.key, job.stage, job.benchmark, kind,
+            str(exc) or type(exc).__name__, fatal=True,
         )
-        if fatal:
-            self._kill_job(state, report, job)
-        else:
-            state.pending[job.key] = job
-            state.not_before[job.key] = time.monotonic() + self.retry.delay(
-                job.key, attempt
-            )
+        self._kill_job(state, report, job)
 
     def _requeue_corrupt_producer(
         self,
         state: _RunState,
         report: FarmReport,
         job: Job,
-        attempt: int,
         exc: BaseException,
     ) -> bool:
         """Heal a corrupt *input*: re-run its producer, then this job.
 
         The cache has already quarantined the damaged artifact; if its
         producer is part of this graph, pull it back out of ``done`` so
-        it re-executes, and requeue the consumer without charging it an
-        attempt (the failure was not its fault).  Returns False when the
-        producer is unknown, leaving ordinary retry handling to run.
+        it re-executes, and requeue the consumer (the failure was not
+        its fault).  Each consumer gets one heal: a producer whose
+        output is corrupt *every* time (a persistent disk fault) must
+        not heal forever, so a second corrupt input kills the consumer.
+        Returns False when the producer is unknown or the heal is spent.
         """
         producer_key = getattr(exc, "key", None)
         producer = state.graph.jobs.get(producer_key) if producer_key else None
-        if producer is None or producer.key == job.key:
+        if producer is None or producer.key == job.key or job.key in state.healed:
             return False
-        # A producer whose output is corrupt *every* time (persistent
-        # disk fault, or times=0 injection) must not heal forever: once
-        # the consumer has been granted max_attempts heals, fall back to
-        # ordinary retry accounting so the job eventually dies.
-        heals = state.corrupt_heals.get(job.key, 0) + 1
-        if heals > self.retry.max_attempts:
-            return False
-        state.corrupt_heals[job.key] = heals
+        state.healed.add(job.key)
         report.record_failure(
-            job.key, job.stage, job.benchmark, "corrupt", attempt, str(exc),
-            retried=True,
+            job.key, job.stage, job.benchmark, "corrupt", str(exc), fatal=False
         )
         state.done.discard(producer.key)
         state.pending[producer.key] = producer
         # The producer's previous outcome (a hit or an earlier run) is
         # stale: drop its record so the re-execution is reported.
         report.records.pop(producer.key, None)
-        state.unwind_attempt(job.key)
         state.pending[job.key] = job
         return True
 
@@ -466,8 +405,8 @@ class ExecutionEngine:
                 if not lost:
                     continue
                 report.record_failure(
-                    job.key, job.stage, job.benchmark, "dependency", 0,
-                    f"dependency {lost[0][:12]} is dead", retried=False,
+                    job.key, job.stage, job.benchmark, "dependency",
+                    f"dependency {lost[0][:12]} is dead", fatal=True,
                 )
                 report.record(job.key, job.stage, job.benchmark, DEAD)
                 state.dead.add(job.key)
@@ -497,67 +436,34 @@ class ExecutionEngine:
             report.note(f"process pool unavailable ({exc}); running serially")
             return SerialBackend()
 
-    def _replace_backend(
-        self, rebuilds: int, report: FarmReport
-    ) -> tuple[object, int]:
-        """A broken pool's successor: a fresh pool, or serial execution
-        once rebuilds run out (the serial backend never breaks)."""
-        from repro.jobs.backends.serial import SerialBackend
-
-        rebuilds += 1
-        if rebuilds > self.retry.max_pool_rebuilds:
-            report.note(
-                f"process pool died {rebuilds} times; degrading "
-                f"to serial in-process execution"
-            )
-            return SerialBackend(), rebuilds
-        report.note(
-            f"process pool died (rebuild {rebuilds}/"
-            f"{self.retry.max_pool_rebuilds}); rebuilding"
-        )
-        return self._make_backend(report), rebuilds
-
     def _execute(self, state: _RunState, report: FarmReport) -> None:
         backend = self._make_backend(report)
-        rebuilds = 0
         try:
             while state.pending or backend.in_flight:
-                now = time.monotonic()
                 dispatched = False
-                for job in state.runnable(now):
+                for job in state.runnable():
                     if not backend.can_accept():
                         break
-                    if job.key not in state.pending:
-                        continue  # requeued/killed earlier this sweep
-                    attempt = state.next_attempt(job.key)
-                    payload = self._payload(
-                        job,
-                        attempt,
-                        in_process=backend.name == "serial",
-                    )
                     try:
-                        backend.submit(
-                            job, payload, attempt, self.retry.job_timeout
-                        )
+                        backend.submit(job, self._payload(job))
                     except BrokenProcessPool:
-                        state.unwind_attempt(job.key)
                         break
                     del state.pending[job.key]
                     dispatched = True
                 self._note_queue_depth(len(state.pending) + backend.in_flight)
                 if backend.in_flight:
-                    for completion in backend.poll(self._poll_budget(state)):
+                    # The bound only paces the loop: every in-flight job
+                    # settles, a crashed pool's included.
+                    for completion in backend.poll(0.5):
                         self._settle(state, report, completion)
-                elif not dispatched and not backend.broken:
-                    wake_at = state.earliest_backoff()
-                    if wake_at is not None:
-                        time.sleep(max(0.0, wake_at - time.monotonic()))
-                        continue
-                    if state.pending:
-                        raise RuntimeError("job graph has a dependency cycle")
+                elif not dispatched and not backend.broken and state.pending:
+                    raise RuntimeError("job graph has a dependency cycle")
                 if backend.broken:
+                    # Every job in flight on the broken pool has settled
+                    # (retired or dead), so the fresh pool runs none twice.
                     backend.shutdown()
-                    backend, rebuilds = self._replace_backend(rebuilds, report)
+                    report.note("process pool died; continuing on a fresh pool")
+                    backend = self._make_backend(report)
         finally:
             backend.shutdown()
 
@@ -565,37 +471,13 @@ class ExecutionEngine:
         self, state: _RunState, report: FarmReport, completion: Completion
     ) -> None:
         """Fold one backend completion into the run state."""
-        job, attempt = completion.job, completion.attempt
+        job = completion.job
         if completion.record is not None:
             self._retire(state, report, job, completion.record["seconds"])
-            return
-        if not completion.charged:
-            # Innocent victim of executor loss: requeue without spending
-            # an attempt — unless its artifact actually landed (the job
-            # finished but its acknowledgement was lost), in which case
-            # it must retire, never execute twice.
-            state.unwind_attempt(job.key)
-            if self._cached(job):
-                self._retire(state, report, job, 0.0)
-            else:
-                state.pending[job.key] = job
-            return
-        if isinstance(completion.error, BrokenProcessPool) and self._cached(job):
+        elif isinstance(completion.error, BrokenProcessPool) and self._cached(job):
             # The executor died *after* the job published its artifact:
             # retiring from the cache is the only outcome that cannot
             # run the job a second time.
             self._retire(state, report, job, 0.0)
-            return
-        self._handle_failure(state, report, job, attempt, completion.error)
-
-    def _poll_budget(self, state: _RunState) -> float:
-        """How long a backend may block in :meth:`poll`.
-
-        Short enough to notice backoff expiries; backends shorten it
-        further to their nearest in-flight deadline.
-        """
-        horizon = 0.5
-        wake_at = state.earliest_backoff()
-        if wake_at is not None:
-            horizon = min(horizon, max(0.01, wake_at - time.monotonic()))
-        return horizon
+        else:
+            self._handle_failure(state, report, job, completion.error)

@@ -4,14 +4,14 @@ Every unit of work the farm considers — one (benchmark × stage × option
 set), identified by its content key — is recorded exactly once, either as
 ``run`` (the job executed and produced its artifact), ``hit`` (the
 artifact was already in the cache and the job was skipped), or ``dead``
-(the job exhausted its retry budget and was quarantined).  Later sightings of the same key (e.g. a lazy load
-after a prefetch) are ignored, so the report reflects what the
-invocation actually had to do.
+(the job failed, or a job it depends on did, and was quarantined).
+Later sightings of the same key (e.g. a lazy load after a prefetch) are
+ignored, so the report reflects what the invocation actually had to do.
 
-Separately from job outcomes, every *failed attempt* is recorded as a
-:class:`FailureRecord` with full provenance — stage, attempt number,
-failure kind, message — so a chaotic run can be audited from the report
-alone.
+Separately from job outcomes, every *failure* is recorded as a
+:class:`FailureRecord` with full provenance — stage, failure kind,
+message, and whether it killed the job — so a failed run can be audited
+from the report alone.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ HIT = "hit"
 DEAD = "dead"
 
 #: Failure kinds carried by :class:`FailureRecord`.
-FAILURE_KINDS = ("error", "timeout", "crash", "corrupt", "dependency")
+FAILURE_KINDS = ("error", "crash", "corrupt", "dependency")
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,16 @@ class JobRecord:
 
 @dataclass(frozen=True)
 class FailureRecord:
-    """One failed job attempt (or a dead-dependency skip)."""
+    """One job failure (or a dead-dependency skip)."""
 
     key: str
     stage: str
     benchmark: str
     kind: str  # one of FAILURE_KINDS
-    attempt: int
     message: str
-    #: True when the attempt was requeued; False when it killed the job.
-    retried: bool
+    #: True when the failure killed the job; False when a corrupt
+    #: artifact was quarantined and re-produced instead.
+    fatal: bool
 
 
 @dataclass
@@ -105,26 +105,16 @@ class FarmReport:
         stage: str,
         benchmark: str,
         kind: str,
-        attempt: int,
         message: str,
-        retried: bool,
+        fatal: bool,
     ) -> None:
-        """Record one failed attempt with its full provenance."""
+        """Record one failure with its full provenance."""
         self.failures.append(
-            FailureRecord(key, stage, benchmark, kind, attempt, message, retried)
+            FailureRecord(key, stage, benchmark, kind, message, fatal)
         )
-        if telemetry.enabled():
-            if retried:
-                telemetry.METRICS.counter("repro_jobs_retries_total").inc(
-                    stage=stage
-                )
-            if kind == "timeout":
-                telemetry.METRICS.counter("repro_jobs_timeouts_total").inc(
-                    stage=stage
-                )
 
     def note(self, message: str) -> None:
-        """Attach a run-level note (e.g. a degradation event)."""
+        """Attach a run-level note (e.g. a pool replaced after a crash)."""
         self.notes.append(message)
 
     # -- aggregates ----------------------------------------------------
@@ -144,19 +134,6 @@ class FarmReport:
     @property
     def dead(self) -> int:
         return sum(1 for r in self.records.values() if r.status == DEAD)
-
-    @property
-    def retries(self) -> int:
-        """Failed attempts that were requeued."""
-        return sum(1 for f in self.failures if f.retried)
-
-    @property
-    def timeouts(self) -> int:
-        return sum(1 for f in self.failures if f.kind == "timeout")
-
-    @property
-    def corrupt_artifacts(self) -> int:
-        return sum(1 for f in self.failures if f.kind == "corrupt")
 
     def executed_in(self, stage: str) -> int:
         return sum(
@@ -212,7 +189,7 @@ class FarmReport:
         """Human-readable report (one summary line plus per-job lines).
 
         Failure provenance and run-level notes are always rendered —
-        they are the audit trail of a chaotic run — while the per-job
+        they are the audit trail of a failed run — while the per-job
         status lines honor *per_job*.
         """
         lines = []
@@ -228,11 +205,10 @@ class FarmReport:
                     f"[farm] {r.stage:<8s} {r.benchmark:<12s} {r.status:<7s} {timing}"
                 )
         for failure in self.failures:
-            outcome = "retried" if failure.retried else "gave up"
+            outcome = "dead" if failure.fatal else "re-produced"
             lines.append(
                 f"[farm] failure  {failure.stage:<8s} {failure.benchmark:<12s} "
-                f"attempt {failure.attempt} {failure.kind}: "
-                f"{failure.message} ({outcome})"
+                f"{failure.kind}: {failure.message} ({outcome})"
             )
         for message in self.notes:
             lines.append(f"[farm] note: {message}")
@@ -257,10 +233,4 @@ class FarmReport:
             f"{self.hits} cache hits{dead_text} "
             f"(hit rate {self.hit_rate:.1f}%)"
         )
-        if self.failures:
-            lines.append(
-                f"[farm] faults: {self.retries} retries, "
-                f"{self.timeouts} timeouts, {self.dead} dead jobs, "
-                f"{self.corrupt_artifacts} corrupt artifacts"
-            )
         return "\n".join(lines)

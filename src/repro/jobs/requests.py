@@ -10,11 +10,9 @@ Fields left at ``None`` inherit from the session's
 :class:`~repro.experiments.runner.RunConfig` (workload scale, trace
 budget), so the same request list adapts to ``--max-steps`` / ``--scale``.
 
-Requests describe *what* must exist, never *how* reliably it is
-produced: retry budgets, timeouts, and fault injection are run-level
-policy (:class:`~repro.jobs.retry.RetryPolicy`,
-:mod:`repro.jobs.faults`) applied by the execution engine, so the same
-request list behaves identically under a chaotic run and a clean one.
+Requests describe *what* must exist, never *how* it is produced:
+the worker count and the analyzer engine are run-level settings, so the
+same request list yields the same artifacts under any of them.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ timing record is returned.
 Programs are not shipped either: each worker recompiles the benchmark's
 MiniC source locally (compilation is ~3 orders of magnitude cheaper than
 tracing) and memoizes it per process via the benchmark compile cache.
+
+A stage that raises fails its job for good: the engine records the
+failure and does not retry the job in the same invocation.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from repro import telemetry
 from repro.bench import get
 from repro.core import MachineModel
 from repro.isa import OpKind
-from repro.jobs import faults
 from repro.jobs.cache import ArtifactCache
 from repro.prediction import ProfilePredictor, branch_stats, named_predictor
 from repro.vm import FastVM
@@ -37,12 +39,6 @@ def execute_job(payload: dict) -> dict:
     afterwards).  In the serial in-process case telemetry is already
     configured, so the job's spans land directly in the main sink.
 
-    A ``faults`` payload entry arms the deterministic fault injector for
-    this job: pre-stage faults (raise/hang/exit) fire before any work,
-    post-store faults (truncate/garbage) damage the artifact the stage
-    just wrote — always keyed by (seed, job key, attempt), so a chaotic
-    run replays identically.
-
     ``trace_id`` and ``parent_id`` payload entries name the submitting
     process's trace and open span: the ``job.<stage>`` span (and
     everything nested under it) is linked into that trace, so
@@ -56,12 +52,6 @@ def execute_job(payload: dict) -> dict:
         )
     started = time.time()
     stage = payload["stage"]
-    clause = None
-    if payload.get("faults"):
-        plan = faults.FaultPlan.from_spec(payload["faults"])
-        clause = plan.match(stage, payload["key"], payload.get("attempt", 1))
-    if clause is not None and clause.mode in ("raise", "hang", "exit"):
-        faults.trigger_before(clause, payload)
     with telemetry.span(
         f"job.{stage}", benchmark=payload["benchmark"], key=payload["key"]
     ) as job_span, telemetry.profiled(f"job-{stage}-{payload['benchmark']}"):
@@ -73,8 +63,6 @@ def execute_job(payload: dict) -> dict:
             _analysis_job(payload)
         else:
             raise ValueError(f"unknown job stage {stage!r}")
-    if clause is not None and clause.mode in ("truncate", "garbage"):
-        faults.corrupt_artifact(clause, _artifact_path(payload))
     telemetry.flush()
     return {
         "key": payload["key"],
@@ -82,13 +70,6 @@ def execute_job(payload: dict) -> dict:
         "benchmark": payload["benchmark"],
         "seconds": time.time() - started,
     }
-
-
-def _artifact_path(payload: dict):
-    """On-disk location of the artifact this job's stage produces."""
-    cache = ArtifactCache(payload["cache_dir"])
-    lookup = {"trace": cache.trace_path, "analyze": cache.result_path}
-    return lookup[payload["stage"]](payload["key"])
 
 
 def _program(payload: dict):

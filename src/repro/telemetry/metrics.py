@@ -272,20 +272,8 @@ STANDARD_METRICS: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
     ),
     (
         "counter",
-        "repro_jobs_retries_total",
-        "Farm job attempts that failed and were requeued, per stage",
-        ("stage",),
-    ),
-    (
-        "counter",
-        "repro_jobs_timeouts_total",
-        "Farm job attempts that exceeded their wall-clock budget, per stage",
-        ("stage",),
-    ),
-    (
-        "counter",
         "repro_jobs_dead_total",
-        "Farm jobs quarantined after exhausting their retry budget, per stage",
+        "Farm jobs quarantined after their failure, per stage",
         ("stage",),
     ),
     (

@@ -267,85 +267,65 @@ class TestCLI:
 
 
 class TestRobustnessFlags:
-    def test_negative_retries_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["table1", "--retries", "-1"])
+    """Dead jobs from real failures: a *file* stands where one of the
+    cache's artifact directories belongs, so storing into it fails."""
 
-    def test_nonpositive_job_timeout_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["table1", "--job-timeout", "0"])
-
-    def test_bad_fault_spec_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["table1", "--inject-faults", "mode=bogus"])
-        assert "--inject-faults" in capsys.readouterr().err
-
-    def test_faulty_run_output_matches_clean_run(self, capsys, tmp_path):
-        args = ["table1", "--max-steps", "4000", "--quiet"]
-        assert main(args + ["--cache-dir", str(tmp_path / "clean")]) == 0
-        clean = capsys.readouterr().out
-        assert (
-            main(
-                args
-                + [
-                    "--cache-dir",
-                    str(tmp_path / "chaos"),
-                    "--inject-faults",
-                    "mode=raise,rate=0.5,times=1,seed=11",
-                ]
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == clean
+    @staticmethod
+    def blocked_cache(tmp_path, artifacts):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / artifacts).write_text("")
+        return cache
 
     def test_dead_job_fails_its_experiment_by_name(self, capsys, tmp_path):
-        args = [
-            "table2", "--max-steps", "4000", "--retries", "0",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--inject-faults", "stage=trace,mode=raise,times=0",
-        ]
+        cache = self.blocked_cache(tmp_path, "traces")
+        args = ["table2", "--max-steps", "4000", "--cache-dir", str(cache)]
         assert main(args) == 1
-        assert "table2: trace job for awk is dead: injected fault" in (
-            capsys.readouterr().err
-        )
+        err = capsys.readouterr().err
+        assert "table2: trace job for awk is dead: [Errno 17] File exists" in err
 
     def test_dead_jobs_show_their_provenance(self, capsys, tmp_path):
-        args = [
-            "table2", "table3", "--max-steps", "100000", "--retries", "0",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--inject-faults",
-            "stage=analyze,mode=raise,times=0,rate=0.5,seed=3",
-        ]
+        cache = self.blocked_cache(tmp_path, "results")
+        args = ["table2", "table3", "--max-steps", "4000", "--cache-dir", str(cache)]
         assert main(args) == 1
         err = capsys.readouterr().err
         assert "table3: analyze job for" in err
         dead = re.findall(
-            r"\[farm\] failure  analyze  (\S+) +attempt 1 error: "
-            r"injected fault: .* \(gave up\)",
+            r"\[farm\] failure  analyze  (\S+) +error: "
+            r"\[Errno 17\] File exists: .* \(dead\)",
             err,
         )
-        assert dead, err
-        assert re.search(r"\[farm\] analyze: .*, \d+ dead", err), err
+        # One failure line per analyze job: each failed once, for good.
+        assert sorted(dead) == sorted(set(dead)) and len(dead) == 10, err
+        assert re.search(r"\[farm\] analyze: 10 jobs, .*, 10 dead", err), err
         assert "[farm] total " in err
         # --quiet keeps stderr down to the failing experiment's line.
         assert main(args + ["--quiet"]) == 1
         assert "[farm]" not in capsys.readouterr().err
 
     def test_survivors_render_after_a_dead_experiment(self, capsys, tmp_path):
-        # table3 loses analyze jobs; table2 needs none and still renders
-        # after it, then the farm report prints once and the exit is 1.
-        args = [
-            "table3", "table2", "--max-steps", "100000", "--retries", "0",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--inject-faults",
-            "stage=analyze,mode=raise,times=0,rate=0.5,seed=3",
-        ]
+        # table3 loses its analyze jobs; table2 needs none and still
+        # renders after it, then the farm report prints once and the exit
+        # is 1.  Once the fault is gone, a plain rerun executes exactly
+        # the dead jobs and prints what a clean run prints.
+        args = ["table3", "table2", "--max-steps", "4000"]
+        assert main(args + ["--cache-dir", str(tmp_path / "clean")]) == 0
+        clean = capsys.readouterr().out
+        cache = self.blocked_cache(tmp_path, "results")
+        args += ["--cache-dir", str(cache)]
         assert main(args) == 1
         captured = capsys.readouterr()
         assert "Table 2: Branch Statistics" in captured.out
         assert "Table 3" not in captured.out
         assert "table3: analyze job for" in captured.err
         assert captured.err.count("[farm] total ") == 1
+
+        (cache / "results").unlink()
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out == clean
+        assert "[farm] trace: 10 jobs, 0 executed" in captured.err
+        assert "[farm] analyze: 10 jobs, 10 executed" in captured.err
 
     def test_warm_rerun_reports_zero_executed(self, capsys, tmp_path):
         args = [

@@ -89,6 +89,19 @@ class TestSuiteRunner:
         runner.analyze("awk", models=[M.CD])
         assert verified == ["awk"]
 
+    def test_verify_prefetch_covers_the_oracle_check(self, tmp_path):
+        # --verify's STA412 check reads each benchmark's full-model
+        # result: prefetch farms those too, so the render executes none.
+        from repro.experiments import table2
+
+        runner = SuiteRunner(
+            RunConfig(max_steps=5_000, verify=True, jobs=2, cache_dir=tmp_path)
+        )
+        runner.prefetch(table2.requirements(runner.config))
+        prefetched = runner.farm_report.executed
+        table2.run(runner)
+        assert runner.farm_report.executed == prefetched
+
     def test_scale_override(self):
         runner = SuiteRunner(RunConfig(max_steps=5_000, scale=1))
         run = runner.run("matrix300")

@@ -3,8 +3,10 @@
 Every job that finished published its artifact, so rerunning the same
 request (or the same ``repro-experiments`` command) executes exactly the
 jobs whose artifacts are missing — after a kill, after an eviction, or
-after jobs died under injected faults — and nothing else.
+after jobs died — and nothing else.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -90,16 +92,26 @@ class TestResume:
         ]
 
 
-class TestRerunAfterDeadJobs:
-    FAULTS = "stage=analyze,mode=raise,times=0,rate=0.5,seed=3"
+def block_results(store):
+    """Make every analyze job fail for real: a *file* named ``results``
+    stands where the cache's results directory belongs, so storing a
+    result fails in ``mkdir`` (even for root).  Returns the file."""
+    store.mkdir(parents=True, exist_ok=True)
+    blocker = store / "results"
+    blocker.write_text("")
+    return blocker
 
+
+def records_with(report, status):
+    return {k for k, r in report.records.items() if r.status == status}
+
+
+class TestRerunAfterDeadJobs:
     def test_plain_rerun_finishes_only_the_dead_jobs(self, tmp_path):
         table3 = EXPERIMENTS["table3"]
 
-        def runner(store, **options):
-            return SuiteRunner(
-                RunConfig(max_steps=MAX_STEPS, cache_dir=tmp_path / store, **options)
-            )
+        def runner(store):
+            return SuiteRunner(RunConfig(max_steps=MAX_STEPS, cache_dir=tmp_path / store))
 
         def render(suite):
             suite.prefetch(table3.requirements(suite.config))
@@ -107,32 +119,52 @@ class TestRerunAfterDeadJobs:
 
         clean = render(runner("clean"))
 
-        faulty = runner("store", retries=0, inject_faults=self.FAULTS)
+        blocker = block_results(tmp_path / "store")
+        faulty = runner("store")
         faulty.prefetch(table3.requirements(faulty.config))
-        died = {k for k, r in faulty.farm_report.records.items() if r.status == DEAD}
-        assert 0 < len(died) < len(table3.requirements(faulty.config))
+        died = records_with(faulty.farm_report, DEAD)
+        analyze = {
+            k for k, r in faulty.farm_report.records.items() if r.stage == "analyze"
+        }
+        assert died == analyze
+        assert len(died) == len(table3.requirements(faulty.config))
+        # The trace jobs the analyses needed survived them.
+        assert faulty.farm_report.executed_in("trace") == len(died)
 
+        blocker.unlink()
         rerun = runner("store")
         assert render(rerun) == clean
-        ran = {k for k, r in rerun.farm_report.records.items() if r.status == RUN}
-        assert ran == died
+        assert records_with(rerun.farm_report, RUN) == died
 
     def test_dead_job_is_not_run_again(self, tmp_path):
         # A job that died during prefetch raises from its DEAD record when
-        # an experiment loads it; running it again would fire its fault a
-        # second time and report the failure twice.
+        # an experiment loads it; running it again would fail it a second
+        # time and report the failure twice.
         table3 = EXPERIMENTS["table3"]
+        block_results(tmp_path / "store")
         faulty = SuiteRunner(
-            RunConfig(
-                max_steps=MAX_STEPS,
-                cache_dir=tmp_path / "store",
-                retries=0,
-                inject_faults=self.FAULTS,
-            )
+            RunConfig(max_steps=MAX_STEPS, cache_dir=tmp_path / "store")
         )
         faulty.prefetch(table3.requirements(faulty.config))
-        died = {k for k, r in faulty.farm_report.records.items() if r.status == DEAD}
-        with pytest.raises(DeadJobError):
+        died = records_with(faulty.farm_report, DEAD)
+        with pytest.raises(DeadJobError, match="File exists"):
             table3.run(faulty)
         failed = [failure.key for failure in faulty.farm_report.failures]
         assert sorted(failed) == sorted(died)
+
+    def test_failed_job_executes_once(self, tmp_path):
+        # The first failure is final: no attempt is retried in-run, so
+        # each analyze job has exactly one (fatal) failure record.
+        table3 = EXPERIMENTS["table3"]
+        block_results(tmp_path / "store")
+        faulty = SuiteRunner(
+            RunConfig(max_steps=MAX_STEPS, cache_dir=tmp_path / "store")
+        )
+        faulty.prefetch(table3.requirements(faulty.config))
+        report = faulty.farm_report
+        analyze = [k for k, r in report.records.items() if r.stage == "analyze"]
+        assert analyze
+        failures = Counter(failure.key for failure in report.failures)
+        assert {key: failures[key] for key in analyze} == dict.fromkeys(analyze, 1)
+        assert all(failure.fatal for failure in report.failures)
+        assert {report.records[key].status for key in analyze} == {DEAD}

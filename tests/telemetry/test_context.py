@@ -97,10 +97,10 @@ class TestJobPayload:
 
     def payload(self, tmp_path):
         engine = ExecutionEngine(ArtifactCache(tmp_path / "cache"))
-        return engine._payload(self.JOB, attempt=1, in_process=False)
+        return engine._payload(self.JOB)
 
     def test_disabled_payload_has_no_trace_fields(self, tmp_path):
-        assert self.payload(tmp_path) == {"stage": "bogus", "attempt": 1}
+        assert self.payload(tmp_path) == {"stage": "bogus"}
 
     def test_payload_fields_link_the_job_span(self, tmp_path):
         telemetry.configure(tmp_path)
